@@ -86,11 +86,8 @@ def _render(report: dict, as_json: bool) -> str:
 
 def _load_lattice(args) -> lattice.Lattice:
     if getattr(args, "lattice_file", None):
-        try:
-            with open(args.lattice_file) as fh:
-                raw = fh.read()
-        except OSError:
-            raise
+        with open(args.lattice_file) as fh:
+            raw = fh.read()
         try:
             data = json.loads(raw)
             basis = lattice.LatticeBasis.from_dict(data)

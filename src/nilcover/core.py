@@ -12,6 +12,11 @@ Rotations about the z-axis are quadratic in model coordinates, but become
 linear after conjugating by the volume-preserving shear
 
     M: (x, y, z) -> (x, y, z - x*y/2).
+
+The group maps translate, compose, inverse and power are plain
+arithmetic on the coordinates, so they work elementwise on triples of numpy
+arrays (for example pts.T of an (N, 3) array) and broadcast like numpy
+operands; power also takes an integer array of exponents.
 """
 
 from __future__ import annotations

@@ -19,14 +19,14 @@ from scipy.optimize import brentq, minimize_scalar
 from scipy.stats import qmc
 
 from .ball import ball_volume, max_vertical_chord
-from .core import Point
+from .core import Point, inverse, translate
 from .errors import (DegenerateGeometryError, DomainError, NilcoverError,
                      NoSolutionError)
 from .geodesic import (PI, TWO_PI, _all_profile_roots, _newton_profile,
-                       _profile, _profile_jacobian, distance_to_origin)
-from .lattice import (DOMAIN_TETRAHEDRA, Lattice, LatticeBasis,
-                      domain_volume, fundamental_domain, lattice_from_params,
-                      lattice_points_in_shell)
+                       _profile, _profile_jacobian, _relative_target,
+                       distance_to_origin)
+from .lattice import (DOMAIN_TETRAHEDRA, Lattice, LatticeBasis, _shell_words,
+                      domain_volume, fundamental_domain, lattice_from_params)
 
 log = logging.getLogger(__name__)
 
@@ -39,11 +39,9 @@ def _distance_and_gradient(c, p):
     Works through the translation taking c to the origin, then
     differentiates the profile inversion implicitly.
     """
-    cx, cy, cz = c
-    px, py, pz = p
-    qx = px - cx
-    qy = py - cy
-    qz = pz - py * cx + cx * cy - cz
+    cx, cy, _ = c
+    px, py, _ = p
+    qx, qy, qz = _relative_target(c, p)
     rho = math.hypot(qx, qy)
     zeta = qz - 0.5 * qx * qy
     zs = abs(zeta)
@@ -193,12 +191,6 @@ class CoverageResult:
         return self.covered
 
 
-def _sheared_shell(lattice: Lattice, n: int):
-    """Shell lattice words plus their sheared local-frame ingredients."""
-    words = lattice_points_in_shell(lattice, n)
-    return [(w, (-w[0], -w[1], w[0] * w[1] - w[2])) for w in words]
-
-
 def _circumcenter_probes(lattice: Lattice) -> list:
     """Circumcenters of the domain tetrahedra: the deepest points of the
     domain, where a too-small radius shows first.  Random sampling alone
@@ -213,21 +205,22 @@ def _circumcenter_probes(lattice: Lattice) -> list:
     return probes
 
 
-def _min_lattice_distance(p: Point, pairs, R: float, zbound: float,
+def _min_lattice_distance(p: Point, inv_words, R: float, zbound: float,
                           stop_below: float) -> float:
     """Distance from p to the nearest shell lattice point, with a cheap
-    cylinder prefilter; returns early once clearly below stop_below."""
+    cylinder prefilter; returns early once clearly below stop_below.
+
+    inv_words holds the inverses of the shell words as three coordinate
+    arrays.
+    """
+    lx, ly, lz = translate(p, inv_words)
+    rho = np.hypot(lx, ly)
+    zeta = lz - 0.5 * lx * ly
+    near = (rho <= R + 1e-9) & (np.abs(zeta) <= zbound + 1e-9)
     dmin = math.inf
-    for _w, winv in pairs:
-        lx = p[0] + winv[0]
-        ly = p[1] + winv[1]
-        lz = p[2] + p[1] * winv[0] + winv[2]
-        rho = math.hypot(lx, ly)
-        zeta = lz - 0.5 * lx * ly
-        if rho > R + 1e-9 or abs(zeta) > zbound + 1e-9:
-            continue
+    for q in zip(lx[near].tolist(), ly[near].tolist(), lz[near].tolist()):
         try:
-            d = distance_to_origin((lx, ly, lz))
+            d = distance_to_origin(q)
         except NoSolutionError:
             continue
         dmin = min(dmin, d)
@@ -257,8 +250,7 @@ def verify_covering(lattice: Lattice, R: float,
     u = qmc.Halton(d=3, scramble=False).random(n_samples)
     smp = u @ M
 
-    zbound = 0.5 * max_vertical_chord(R)
-    pairs = _sheared_shell(lattice, 2)
+    inv_words = inverse(_shell_words(lattice, 2))
     # table accept works where the sheared profile is monotone (R <= pi)
     table = None
     if R <= PI:
@@ -270,12 +262,10 @@ def verify_covering(lattice: Lattice, R: float,
     alive = np.arange(n_samples)
     sx, sy, sz = smp[:, 0].copy(), smp[:, 1].copy(), smp[:, 2].copy()
     if table is not None:
-        for _w, winv in pairs:
+        for winv in zip(*inv_words):
             if len(alive) == 0:
                 break
-            lx = sx[alive] + winv[0]
-            ly = sy[alive] + winv[1]
-            lz = sz[alive] + sy[alive] * winv[0] + winv[2]
+            lx, ly, lz = translate((sx[alive], sy[alive], sz[alive]), winv)
             rho = np.hypot(lx, ly)
             zs = np.abs(lz - 0.5 * lx * ly)
             xs = np.interp(zs, table[0], table[1])
@@ -290,12 +280,18 @@ def verify_covering(lattice: Lattice, R: float,
     zb_search = 0.5 * max_vertical_chord(R_search)
     stragglers = [(float(sx[i]), float(sy[i]), float(sz[i])) for i in alive]
     for p in _circumcenter_probes(lattice) + stragglers:
-        dmin = _min_lattice_distance(p, pairs, R_search, zb_search, R - margin)
+        dmin = _min_lattice_distance(p, inv_words, R_search, zb_search,
+                                     R - margin)
         if dmin > R + 1e-9:
             if dmin > worst_d:
                 worst_d, worst_p = dmin, p
     if worst_p is None:
         return CoverageResult(covered=True, radius=R, samples=n_samples)
+    if worst_d > R_search:
+        # every point within R_search passes the cut, so the witness's
+        # nearest lattice point lies beyond it: measure without the cut
+        worst_d = _min_lattice_distance(worst_p, inv_words, math.inf,
+                                        math.inf, R - margin)
     return CoverageResult(covered=False, radius=R, samples=n_samples,
                           witness=worst_p, witness_distance=float(worst_d))
 

@@ -14,11 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Point, compose, inverse, power, rotate_z
+from .core import Point, compose, inverse, power, rotate_z, translate
 from .errors import DegenerateLatticeError, DomainError
 
 _DEGENERATE_TOL = 1e-12
-_DEDUP_DECIMALS = 10
+# largest shell index: the words are enumerated up front, (2n+1)^3 of them
+_MAX_SHELL = 50
+# shell searched for the translate containing a tiling sample; shell 2
+# misses some corners of the sampled box for k = 1 lattices near
+# t21/t11 = 0.5 and reports false gaps
+_TILING_SHELL = 3
+# sample points tested at once: memory stays bounded at any sample count,
+# and a batch of 8 points x 343 words x 6 tetrahedra stays in cache
+_TILING_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -154,47 +162,28 @@ def domain_tetrahedra(lattice: Lattice) -> tuple:
     return tuple(tuple(verts[label] for label in tet) for tet in DOMAIN_TETRAHEDRA)
 
 
+def _shell_words(lattice: Lattice, n: int) -> np.ndarray:
+    """Words tau1^a tau2^b tau3^c, |a|,|b|,|c| <= n, as a (3, (2n+1)^3)
+    coordinate array, lexicographic in (a, b, c).
+
+    Distinct exponents give distinct points: the xy-projection fixes (a, b)
+    because the projected generators are independent, and then z fixes c.
+    """
+    if not 0 <= n <= _MAX_SHELL:
+        raise DomainError("shell index must lie in [0, %d]" % _MAX_SHELL)
+    idx = np.arange(-n, n + 1)
+    a, b, c = (g.ravel() for g in np.meshgrid(idx, idx, idx, indexing="ij"))
+    return np.array(compose(compose(power(lattice.t1, a), power(lattice.t2, b)),
+                            power(lattice.tau3, c)))
+
+
 def lattice_points_in_shell(lattice: Lattice, n: int) -> list:
     """Orbit of the origin under words tau1^a tau2^b tau3^c, |a|,|b|,|c| <= n.
 
-    Lexicographic in (a, b, c); duplicates (the words are not unique) are
-    removed to 1e-10.
+    Lexicographic in (a, b, c), (2n+1)^3 points; n is capped at 50 (about a
+    million points).
     """
-    if n < 0:
-        raise DomainError("shell index must be >= 0")
-    pts = []
-    seen = set()
-    rng = range(-n, n + 1)
-    for a in rng:
-        pa = power(lattice.t1, a)
-        for b in rng:
-            pab = compose(pa, power(lattice.t2, b))
-            for c in rng:
-                w = compose(pab, power(lattice.tau3, c))
-                key = tuple(round(x, _DEDUP_DECIMALS) for x in w)
-                if key not in seen:
-                    seen.add(key)
-                    pts.append(w)
-    return pts
-
-
-def _tet_frames(tets):
-    frames = []
-    for tet in tets:
-        a = np.asarray(tet[0], float)
-        M = np.column_stack([np.asarray(tet[i], float) - a for i in (1, 2, 3)])
-        frames.append((a, np.linalg.inv(M)))
-    return frames
-
-
-def _in_any_tet(frames, p, eps: float) -> bool:
-    # eps > 0 inflates each tetrahedron, eps < 0 shrinks to its interior
-    q = np.asarray(p, float)
-    for a, Minv in frames:
-        x = Minv @ (q - a)
-        if x.min() >= -eps and x.sum() <= 1.0 + eps:
-            return True
-    return False
+    return list(zip(*_shell_words(lattice, n).tolist()))
 
 
 @dataclass(frozen=True)
@@ -223,32 +212,31 @@ def tiling_spot_check(lattice: Lattice, samples: int = 1000,
     """
     if samples < 1:
         raise DomainError("need at least one sample")
-    tets = domain_tetrahedra(lattice)
-    frames = _tet_frames(tets)
-    corners = np.array([v for tet in tets for v in tet])
-    lo, hi = corners.min(axis=0), corners.max(axis=0)
+    tets = np.array(domain_tetrahedra(lattice))
+    # frames[t] maps an offset from the first vertex of tetrahedron t to
+    # its barycentric coordinates
+    frames = np.linalg.inv((tets[:, 1:] - tets[:, :1]).transpose(0, 2, 1))
+    base = tets[:, 0].T[:, :, None, None]
+    lo, hi = tets.min(axis=(0, 1)), tets.max(axis=(0, 1))
 
-    words = lattice_points_in_shell(lattice, 2)
-    inv_words = [inverse(w) for w in words]
+    inv_words = inverse(_shell_words(lattice, _TILING_SHELL))
 
     rng = np.random.default_rng(seed)
     pts = lo + (hi - lo) * rng.random((samples, 3))
 
+    # loose counts inflate each tetrahedron by eps, strict counts shrink it
     eps = 1e-9
     gaps = overlaps = 0
-    for p in pts:
-        loose = strict = 0
-        for w in inv_words:
-            # local coordinates of p in the translate's frame
-            lx = p[0] + w[0]
-            ly = p[1] + w[1]
-            lz = p[2] + p[1] * w[0] + w[2]
-            if _in_any_tet(frames, (lx, ly, lz), eps):
-                loose += 1
-            if _in_any_tet(frames, (lx, ly, lz), -eps):
-                strict += 1
-        if loose < 1:
-            gaps += 1
-        if strict > 1:
-            overlaps += 1
+    for start in range(0, samples, _TILING_CHUNK):
+        p = pts[start:start + _TILING_CHUNK].T[:, :, None]
+        # local coordinates of each point in each translate's frame, and
+        # their barycentric coordinates: axes (coordinate, tetrahedron,
+        # point, word)
+        local = np.array(translate(p, inv_words))
+        bary = np.einsum("tij,jtmw->itmw", frames, local[:, None] - base)
+        low, total = bary.min(axis=0), bary.sum(axis=0)
+        loose = ((low >= -eps) & (total <= 1.0 + eps)).any(axis=0)
+        strict = ((low >= eps) & (total <= 1.0 - eps)).any(axis=0)
+        gaps += int(np.count_nonzero(loose.sum(axis=-1) < 1))
+        overlaps += int(np.count_nonzero(strict.sum(axis=-1) > 1))
     return TilingReport(samples=samples, gaps=gaps, overlaps=overlaps)

@@ -106,6 +106,13 @@ def test_lattice_points(capsys):
     assert len(json.loads(out)["points"]) == 27
 
 
+def test_lattice_points_shell_cap(capsys):
+    code, out, err = run_cli(capsys, "lattice", "points", "--lattice",
+                             "1,0,0,0,1,0", "--shell", "51", "--json")
+    assert code == 2
+    assert out == "" and "shell index" in err
+
+
 def test_lattice_tiling_check(capsys):
     code, out, _ = run_cli(capsys, "lattice", "tiling-check", "--lattice",
                            "1,0,0,0,1,0", "--samples", "120", "--json")
@@ -125,6 +132,15 @@ def test_lattice_file(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["covering_radius"] == pytest.approx(0.90293941,
                                                                abs=1e-6)
+
+
+def test_lattice_file_is_json_only(tmp_path, capsys):
+    f = tmp_path / "lat.csv"
+    f.write_text("1,0,0,0,1,0\n")
+    code, _, err = run_cli(capsys, "lattice", "volume", "--lattice-file",
+                           str(f))
+    assert code == 2
+    assert "invalid lattice file" in err
 
 
 def test_circumball(capsys):

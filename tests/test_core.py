@@ -79,6 +79,20 @@ def test_power_matches_repeated_composition():
         assert close(power(t, -3), inverse(power(t, 3)), tol=1e-11)
 
 
+def test_group_maps_on_arrays():
+    rng = np.random.default_rng(8)
+    p, t, u = (rng.uniform(-2.0, 2.0, (3, 40)) for _ in range(3))
+    n = rng.integers(-5, 6, 40)
+    cases = ((translate, (p, t)), (compose, (t, u)), (inverse, (t,)),
+             (power, (t, n)))
+    for fn, args in cases:
+        batched = np.array(fn(*args))
+        for i in range(40):
+            scalar = fn(*(tuple(a[:, i].tolist()) if a.ndim == 2
+                          else int(a[i]) for a in args))
+            assert batched[:, i].tolist() == list(scalar)
+
+
 def test_m_map_round_trip():
     rng = random.Random(3)
     for _ in range(200):

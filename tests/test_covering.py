@@ -12,7 +12,8 @@ from nilcover import (DomainError, LatticeBasis, NoSolutionError, ball_volume,
                       covering_radius, distance, domain_tetrahedra,
                       equidistant_projection, fundamental_domain,
                       hex_covering_radius, hex_density, hex_family_lattice,
-                      lattice_from_params, lower_bound_density, m_map,
+                      lattice_from_params, lattice_points_in_shell,
+                      lower_bound_density, m_map,
                       minimize_lower_bound, optimize_hex, verify_covering)
 
 UNIT = LatticeBasis(t1=(1.0, 0.0, 0.0), t2=(0.0, 1.0, 0.0), k=1)
@@ -90,6 +91,22 @@ def test_verify_covering_tight():
         assert not shrunk.covered
         assert shrunk.witness is not None
         assert shrunk.witness_distance > R * (1 - 1e-3)
+
+
+def test_witness_distance_far_below_radius():
+    # at R = 0.65 the witness's nearest lattice point lies beyond the exact
+    # pass's search radius; the reported distance must still be its own
+    lat = lattice_from_params(UNIT)
+    res = verify_covering(lat, 0.65, 2000)
+    assert not res.covered
+    d = math.inf
+    for w in lattice_points_in_shell(lat, 2):
+        try:
+            d = min(d, distance(w, res.witness))
+        except NoSolutionError:
+            continue
+    assert abs(res.witness_distance - d) < 1e-8
+    assert res.witness_distance == pytest.approx(0.69928, abs=1e-5)
 
 
 def test_verify_covering_tiny_radius():

@@ -3,17 +3,22 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from nilcover import (DegenerateLatticeError, DomainError, LatticeBasis,
-                      commutator, compose, domain_tetrahedra, domain_volume,
-                      distance_to_origin, fundamental_domain,
-                      lattice_from_params, lattice_points_in_shell, power,
-                      tiling_spot_check, translate)
+                      TilingReport, commutator, compose, domain_tetrahedra,
+                      domain_volume, distance_to_origin, fundamental_domain,
+                      hex_family_lattice, inverse, lattice_from_params,
+                      lattice_points_in_shell, power, tiling_spot_check,
+                      translate)
 
 UNIT = LatticeBasis(t1=(1.0, 0.0, 0.0), t2=(0.0, 1.0, 0.0), k=1)
 OPT = LatticeBasis(t1=(1.30633820, 0.0, 0.73894461),
                    t2=(0.65316910, 1.13132206, 1.10841692), k=1)
+# a normal-form k = 2 lattice: its domain does not tile, so spot checks find
+# both gaps and overlaps
+K2 = LatticeBasis(t1=(1.7, 0.0, 1.2325), t2=(0.8, 1.45, 1.8125), k=2)
 
 
 def close(a, b, tol=1e-12):
@@ -99,6 +104,36 @@ def test_shells():
     assert (1.0, 1.0, 2.0) in shell2
 
 
+def shell_by_word_loop(lat, n):
+    """Reference enumeration: one compose/power word at a time."""
+    pts = []
+    rng = range(-n, n + 1)
+    for a in rng:
+        pa = power(lat.t1, a)
+        for b in rng:
+            pab = compose(pa, power(lat.t2, b))
+            for c in rng:
+                pts.append(compose(pab, power(lat.tau3, c)))
+    return pts
+
+
+def test_shells_match_word_loop():
+    for basis in (UNIT, OPT, hex_family_lattice(1.26001585), K2):
+        lat = lattice_from_params(basis)
+        for n in range(4):
+            pts = lattice_points_in_shell(lat, n)
+            assert len(pts) == (2 * n + 1) ** 3
+            assert all(type(p) is tuple and type(p[0]) is float for p in pts)
+            assert pts == shell_by_word_loop(lat, n)
+
+
+def test_shell_index_bounds():
+    lat = lattice_from_params(UNIT)
+    for n in (-1, 51):
+        with pytest.raises(DomainError):
+            lattice_points_in_shell(lat, n)
+
+
 def test_domain_vertices_in_shells():
     # eight vertices are one-step words; the ninth needs two vertical steps
     lat = lattice_from_params(OPT)
@@ -162,3 +197,51 @@ def test_tiling_spot_checks():
         assert rep.gaps == 0
         assert rep.overlaps == 0
         assert rep.ok
+
+
+def tiling_by_point_loop(lat, samples, seed, shell=3):
+    """Reference spot check: one point, word and tetrahedron at a time."""
+    tets = domain_tetrahedra(lat)
+    frames = []
+    for tet in tets:
+        a = np.asarray(tet[0], float)
+        M = np.column_stack([np.asarray(tet[i], float) - a for i in (1, 2, 3)])
+        frames.append((a, np.linalg.inv(M)))
+
+    def in_any_tet(q, eps):
+        for a, Minv in frames:
+            x = Minv @ (np.asarray(q, float) - a)
+            if x.min() >= -eps and x.sum() <= 1.0 + eps:
+                return True
+        return False
+
+    corners = np.array([v for tet in tets for v in tet])
+    lo, hi = corners.min(axis=0), corners.max(axis=0)
+    pts = lo + (hi - lo) * np.random.default_rng(seed).random((samples, 3))
+    inv_words = [inverse(w) for w in lattice_points_in_shell(lat, shell)]
+    gaps = overlaps = 0
+    for p in pts:
+        local = [translate(tuple(p), w) for w in inv_words]
+        if sum(in_any_tet(q, 1e-9) for q in local) < 1:
+            gaps += 1
+        if sum(in_any_tet(q, -1e-9) for q in local) > 1:
+            overlaps += 1
+    return TilingReport(samples=samples, gaps=gaps, overlaps=overlaps)
+
+
+def test_tiling_matches_point_loop():
+    for basis, seed in ((OPT, 3), (K2, 0)):
+        lat = lattice_from_params(basis)
+        rep = tiling_spot_check(lat, 25, seed)
+        assert rep == tiling_by_point_loop(lat, 25, seed)
+    # the k = 2 lattice makes the comparison cover non-zero counts
+    assert rep.gaps > 0 and rep.overlaps > 0
+
+
+def test_tiling_needs_shell_three():
+    # a box corner of this lattice lies in a translate by a shell-3 word
+    basis = LatticeBasis(t1=(1.7809676559690528, 0.0, 1.4202298597173604),
+                         t2=(0.8059798820541969, 1.5948968584099195,
+                             2.0629572506322784), k=1)
+    assert tiling_spot_check(lattice_from_params(basis), samples=200,
+                             seed=168).ok
