@@ -6,16 +6,16 @@ lattices carry fundamental parallelepipeds whose tetrahedral decomposition
 yields covering radii and densities.
 """
 
-from .ball import (BallSpec, ProfilePoint, SphereMesh, ball_volume,
+from .ball import (ProfilePoint, SphereMesh, ball_volume,
                    first_profile_critical_theta, hull_gap, is_ball_convex,
                    is_m_image_convex, max_vertical_chord, mesh_to_obj,
                    sphere_mesh, sphere_point, sphere_profile)
 from .constants import (BALL_CONVEXITY_MAX_RADIUS,
                         EUCLIDEAN_OPTIMAL_COVERING_DENSITY,
                         MAX_BALL_RADIUS, M_IMAGE_CONVEXITY_MAX_RADIUS)
-from .core import (IDENTITY, ORIGIN, Isometry, Point, commutator, compose,
-                   conjugated_translation, inverse, line_reflect_y, m_inverse,
-                   m_map, power, rotate_z, translate)
+from .core import (IDENTITY, ORIGIN, Point, commutator, compose, inverse,
+                   line_reflect_y, m_inverse, m_map, power, rotate_z,
+                   translate)
 from .covering import (CircumballResult, CoverageResult, DensityReport,
                        LowerBoundConfig, bound_f, bound_f1, bound_f2,
                        circumball, covering_density, covering_radius,
@@ -35,16 +35,16 @@ from .lattice import (DOMAIN_TETRAHEDRA, FundamentalDomain, Lattice,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BALL_CONVEXITY_MAX_RADIUS", "BallSpec", "CircumballResult",
+    "BALL_CONVEXITY_MAX_RADIUS", "CircumballResult",
     "CoverageResult", "DOMAIN_TETRAHEDRA", "DegenerateGeometryError",
     "DegenerateLatticeError", "DensityReport", "DomainError",
     "EUCLIDEAN_OPTIMAL_COVERING_DENSITY", "FundamentalDomain",
-    "GeodesicParams", "GeodesicSolveResult", "IDENTITY", "Isometry",
+    "GeodesicParams", "GeodesicSolveResult", "IDENTITY",
     "Lattice", "LatticeBasis", "LowerBoundConfig",
     "MAX_BALL_RADIUS", "M_IMAGE_CONVEXITY_MAX_RADIUS", "NilcoverError",
     "NoSolutionError", "ORIGIN", "Point", "ProfilePoint", "SphereMesh",
     "TilingReport", "ball_volume", "bound_f", "bound_f1", "bound_f2",
-    "circumball", "commutator", "compose", "conjugated_translation",
+    "circumball", "commutator", "compose",
     "covering_density", "covering_radius", "distance", "distance_to_origin",
     "domain_tetrahedra", "domain_volume", "equidistant_projection",
     "first_profile_critical_theta", "fundamental_domain", "geodesic_between",

@@ -39,14 +39,6 @@ class ProfilePoint:
     Z: float
 
 
-@dataclass(frozen=True)
-class BallSpec:
-    R: float
-
-    def __post_init__(self):
-        _check_radius(self.R)
-
-
 def sphere_profile(R: float, theta: float) -> ProfilePoint:
     """Profile of the sheared sphere: X is the axis distance, Z the height."""
     R = _check_radius(R)

@@ -22,7 +22,6 @@ operands; power also takes an integer array of exponents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 Point = tuple[float, float, float]
 
@@ -88,61 +87,3 @@ def line_reflect_y(p: Point) -> Point:
     """Involutive isometry: half-turn about the y-axis, (x,y,z) -> (-x,y,-z)."""
     x, y, z = p
     return (-x, y, -z)
-
-
-def conjugated_translation(t: Point):
-    """The translation by t seen through the shear M, as an affine map.
-
-    Returns a callable q -> m_map(translate(m_inverse(q), t)).  The result
-    is affine in q; the closed form is used directly.
-    """
-    tx, ty, tz = t
-    cz = tz - 0.5 * tx * ty
-
-    def apply(q: Point) -> Point:
-        x, y, z = q
-        return (x + tx, y + ty, z - 0.5 * ty * x + 0.5 * tx * y + cz)
-
-    return apply
-
-
-@dataclass(frozen=True)
-class Isometry:
-    """An orientation-aware Nil isometry as an ordered word of primitives.
-
-    Each step is ("translation", t), ("rotation", omega) or ("reflection",).
-    Words are applied left to right and never normalized; composition just
-    concatenates.
-    """
-
-    steps: tuple = field(default_factory=tuple)
-
-    @staticmethod
-    def translation(t: Point) -> "Isometry":
-        return Isometry((("translation", tuple(float(v) for v in t)),))
-
-    @staticmethod
-    def rotation(omega: float) -> "Isometry":
-        # normalize to (-pi, pi]
-        w = math.remainder(float(omega), 2.0 * math.pi)
-        if w <= -math.pi:
-            w += 2.0 * math.pi
-        return Isometry((("rotation", w),))
-
-    @staticmethod
-    def reflection() -> "Isometry":
-        return Isometry((("reflection",),))
-
-    def then(self, other: "Isometry") -> "Isometry":
-        return Isometry(self.steps + other.steps)
-
-    def apply(self, p: Point) -> Point:
-        q = p
-        for step in self.steps:
-            if step[0] == "translation":
-                q = translate(q, step[1])
-            elif step[0] == "rotation":
-                q = rotate_z(q, step[1])
-            else:
-                q = line_reflect_y(q)
-        return q

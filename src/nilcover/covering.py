@@ -238,13 +238,24 @@ def verify_covering(lattice: Lattice, R: float,
     which samples the volume uniformly.  A sample counts as covered when it
     lies within R of one of the shell-2 lattice points; a fast sheared
     profile-table test settles the bulk and exact distances settle the
-    boundary stragglers.  Returns the worst uncovered sample as witness.
+    boundary stragglers; the circumcenters of the domain tetrahedra are
+    probed first.
+
+    When a sample is uncovered, returns one with its exact distance to the
+    lattice as witness.  It is the worst uncovered sample only among those
+    within R_search (about 1.05*R) of a lattice point; a sample farther
+    from every lattice point can be worse and go unreported.
     """
     if not 0.0 < R <= TWO_PI + 1e-12:
         raise DomainError("covering radius must lie in (0, 2*pi]")
     if n_samples < 1:
         raise DomainError("need at least one sample")
+    return _sample_check(lattice, R, n_samples, _circumcenter_probes(lattice))
 
+
+def _sample_check(lattice: Lattice, R: float, n_samples: int,
+                  probes: list) -> CoverageResult:
+    """The sampling check of verify_covering, with the probes given."""
     fd = fundamental_domain(lattice)
     M = np.array([fd.T1, fd.T2, fd.T3], float)
     u = qmc.Halton(d=3, scramble=False).random(n_samples)
@@ -279,7 +290,7 @@ def verify_covering(lattice: Lattice, R: float,
     R_search = min(1.05 * R + 1e-3, TWO_PI)
     zb_search = 0.5 * max_vertical_chord(R_search)
     stragglers = [(float(sx[i]), float(sy[i]), float(sz[i])) for i in alive]
-    for p in _circumcenter_probes(lattice) + stragglers:
+    for p in probes + stragglers:
         dmin = _min_lattice_distance(p, inv_words, R_search, zb_search,
                                      R - margin)
         if dmin > R + 1e-9:
@@ -305,25 +316,28 @@ def covering_radius(lattice: Lattice) -> float:
     bisection until the check passes.
     """
     verts = fundamental_domain(lattice).as_dict()
-    radii = []
-    for tet in DOMAIN_TETRAHEDRA:
-        result = circumball(*[verts[label] for label in tet])
-        radii.append(result.radius)
-    R = max(radii)
-    if verify_covering(lattice, min(R * (1.0 + 1e-6), TWO_PI)):
+    balls = [circumball(*[verts[label] for label in tet])
+             for tet in DOMAIN_TETRAHEDRA]
+    R = max(b.radius for b in balls)
+    probes = [b.center for b in balls]
+
+    def covers(r):
+        return _sample_check(lattice, r, 20000, probes).covered
+
+    if covers(min(R * (1.0 + 1e-6), TWO_PI)):
         return R
     log.warning("tetrahedra circumradius %.12g fails sampling check; "
                 "growing by bisection", R)
     lo, hi = R, R
     while hi < TWO_PI:
         hi = min(hi * 1.05, TWO_PI)
-        if verify_covering(lattice, hi):
+        if covers(hi):
             break
     else:
         raise NoSolutionError("no covering radius <= 2*pi")
     while hi - lo > 1e-8 * hi:
         mid = 0.5 * (lo + hi)
-        if verify_covering(lattice, mid):
+        if covers(mid):
             hi = mid
         else:
             lo = mid
@@ -332,6 +346,13 @@ def covering_radius(lattice: Lattice) -> float:
 
 @dataclass(frozen=True)
 class DensityReport:
+    """Covering radius and density of a lattice.
+
+    verified is True from covering_density: the sampling check of
+    verify_covering passed at the returned radius.  It is False from
+    hex_density, which does not run the check.
+    """
+
     lattice: LatticeBasis
     covering_radius: float
     ball_volume: float
@@ -340,16 +361,21 @@ class DensityReport:
     verified: bool
 
 
-def covering_density(lattice: Lattice) -> DensityReport:
-    """Covering density: ball volume at the covering radius over the volume
-    of the fundamental domain."""
-    R = covering_radius(lattice)
+def _density_report(lattice: Lattice, R: float,
+                    verified: bool) -> DensityReport:
     vol = ball_volume(R)
     dvol = domain_volume(lattice)
-    verified = bool(verify_covering(lattice, min(R * (1.0 + 1e-6), TWO_PI)))
     return DensityReport(lattice=lattice.basis, covering_radius=R,
                          ball_volume=vol, domain_volume=dvol,
                          density=vol / dvol, verified=verified)
+
+
+def covering_density(lattice: Lattice) -> DensityReport:
+    """Covering density: ball volume at the covering radius over the volume
+    of the fundamental domain."""
+    # covering_radius returns only a radius whose sampling check passed
+    # and raises otherwise
+    return _density_report(lattice, covering_radius(lattice), True)
 
 
 # ---------------------------------------------------------------------------
@@ -486,18 +512,10 @@ def hex_covering_radius(t11: float) -> float:
     return circumball(fd.O, fd.T1, fd.T2, fd.T3).radius
 
 
-def hex_density(t11: float, verify: bool = False) -> DensityReport:
-    basis = hex_family_lattice(t11)
-    lattice = lattice_from_params(basis)
-    R = hex_covering_radius(t11)
-    vol = ball_volume(R)
-    dvol = domain_volume(lattice)
-    verified = False
-    if verify:
-        verified = bool(verify_covering(lattice, R * (1.0 + 1e-6)))
-    return DensityReport(lattice=basis, covering_radius=R, ball_volume=vol,
-                         domain_volume=dvol, density=vol / dvol,
-                         verified=verified)
+def hex_density(t11: float) -> DensityReport:
+    """Density of the hexagonal-family lattice at scale t11, unverified."""
+    lattice = lattice_from_params(hex_family_lattice(t11))
+    return _density_report(lattice, hex_covering_radius(t11), False)
 
 
 def optimize_hex() -> tuple[float, float, float]:
@@ -509,7 +527,8 @@ def optimize_hex() -> tuple[float, float, float]:
                           bounds=(0.8, 1.8), method="bounded",
                           options={"xatol": 1e-10})
     t11 = float(res.x)
-    report = hex_density(t11, verify=True)
-    if not report.verified:
+    report = hex_density(t11)
+    lattice = lattice_from_params(report.lattice)
+    if not verify_covering(lattice, report.covering_radius * (1.0 + 1e-6)):
         raise NilcoverError("hexagonal optimum failed the covering check")
     return t11, report.covering_radius, report.density

@@ -6,9 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from nilcover import (IDENTITY, ORIGIN, Isometry, commutator, compose,
-                      conjugated_translation, inverse, line_reflect_y,
-                      m_inverse, m_map, power, rotate_z, translate)
+from nilcover import (IDENTITY, ORIGIN, commutator, compose, inverse,
+                      line_reflect_y, m_inverse, m_map, power, rotate_z,
+                      translate)
 
 
 def rand_triple(rng, scale=2.0):
@@ -129,29 +129,6 @@ def test_reflection_involution():
     for _ in range(100):
         p = rand_triple(rng)
         assert close(line_reflect_y(line_reflect_y(p)), p)
-
-
-def test_conjugated_translation_formula():
-    # the sheared picture of a translation, checked against m o tau o m^-1
-    rng = random.Random(41)
-    for _ in range(200):
-        q = rand_triple(rng)
-        t = rand_triple(rng)
-        direct = conjugated_translation(t)(q)
-        via_maps = m_map(translate(m_inverse(q), t))
-        assert close(direct, via_maps, tol=1e-12)
-
-
-def test_isometry_composition():
-    rng = random.Random(55)
-    for _ in range(100):
-        p = rand_triple(rng)
-        t = rand_triple(rng)
-        w = rng.uniform(-math.pi, math.pi)
-        iso = Isometry.translation(t).then(Isometry.rotation(w))
-        assert close(iso.apply(p), rotate_z(translate(p, t), w))
-        iso2 = Isometry.reflection().then(Isometry.translation(t))
-        assert close(iso2.apply(p), translate(line_reflect_y(p), t))
 
 
 def test_origin_is_identity_point():

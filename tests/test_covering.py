@@ -1,12 +1,15 @@
 """Circumballs, covering radii, densities, bounds."""
 
+import logging
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from nilcover import covering
 from nilcover import (DomainError, LatticeBasis, NoSolutionError, ball_volume,
                       bound_f, bound_f1, bound_f2, circumball, covering_density,
                       covering_radius, distance, domain_tetrahedra,
@@ -131,6 +134,40 @@ def test_covering_density_report():
     assert abs(rep.density - 1.43093459) < 1e-5
     assert rep.verified
     assert rep.density * rep.domain_volume == pytest.approx(rep.ball_volume)
+
+
+def _count_calls(monkeypatch, name, wrap=lambda res: res):
+    calls = []
+    real = getattr(covering, name)
+
+    def counted(*args):
+        calls.append(args)
+        return wrap(real(*args))
+
+    monkeypatch.setattr(covering, name, counted)
+    return calls
+
+
+def test_covering_density_one_covering_pass(monkeypatch):
+    circumballs = _count_calls(monkeypatch, "circumball")
+    checks = _count_calls(monkeypatch, "_sample_check")
+    assert covering_density(lattice_from_params(OPT)).verified
+    assert len(circumballs) == 6
+    assert len(checks) == 1
+
+
+def test_covering_radius_bisection(monkeypatch, caplog):
+    # circumradii 3 % short fail the sampling check, so the radius must be
+    # grown back by bisection, still from the first six circumballs
+    circumballs = _count_calls(
+        monkeypatch, "circumball",
+        lambda res: replace(res, radius=0.97 * res.radius))
+    with caplog.at_level(logging.WARNING, logger="nilcover.covering"):
+        rep = covering_density(lattice_from_params(OPT))
+    assert "growing by bisection" in caplog.text
+    assert abs(rep.covering_radius - 0.90293941) < 1e-6
+    assert rep.verified
+    assert len(circumballs) == 6
 
 
 def test_bound_f_values():
