@@ -196,8 +196,8 @@ def run(args) -> str:
         res = geodesic.geodesic_between(args.p_from, args.p_to)
         return _render({"from": list(args.p_from), "to": list(args.p_to),
                         "alpha": res.params.alpha, "theta": res.params.theta,
-                        "arc_length": res.params.s, "residual": res.residual,
-                        "branch_count": res.branch_count}, args.json)
+                        "arc_length": res.params.s, "residual": res.residual},
+                       args.json)
 
     if args.command == "ball-volume":
         return _render({"radius": args.radius,

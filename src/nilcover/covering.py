@@ -22,8 +22,8 @@ from .ball import ball_volume, max_vertical_chord
 from .core import Point, inverse, translate
 from .errors import (DegenerateGeometryError, DomainError, NilcoverError,
                      NoSolutionError)
-from .geodesic import (PI, TWO_PI, _all_profile_roots, _newton_profile,
-                       _profile, _profile_jacobian, _relative_target,
+from .geodesic import (PI, TWO_PI, _invert_profile, _profile,
+                       _profile_jacobian, _reduced, _relative_target,
                        distance_to_origin)
 from .lattice import (DOMAIN_TETRAHEDRA, Lattice, LatticeBasis, _shell_words,
                       domain_volume, fundamental_domain, lattice_from_params)
@@ -42,22 +42,14 @@ def _distance_and_gradient(c, p):
     cx, cy, _ = c
     px, py, _ = p
     qx, qy, qz = _relative_target(c, p)
-    rho = math.hypot(qx, qy)
-    zeta = qz - 0.5 * qx * qy
-    zs = abs(zeta)
+    rho, zeta = _reduced((qx, qy, qz))
     sg = 1.0 if zeta >= 0 else -1.0
-    th0 = math.atan2(zs, max(rho, 1e-14))
-    R0 = math.hypot(rho, zs)
-    sol = _newton_profile(rho, zs, min(th0, 0.5 * PI * 0.9999),
-                          max(min(R0, TWO_PI), 1e-6))
-    if sol is None:
-        roots = _all_profile_roots(rho, zs)
-        if not roots:
-            raise NoSolutionError("center out of geodesic reach of a vertex")
-        sol = roots[0]
-    th, R = sol
+    th, R = _invert_profile(rho, zeta)
     dXdt, dXdR, dZdt, dZdR = _profile_jacobian(R, th)
     det = dXdt * dZdR - dXdR * dZdt
+    if det == 0.0:
+        # c = p: the distance has no gradient there
+        raise NoSolutionError("center on a vertex")
     dRdrho = -dZdt / det
     dRdzeta = dXdt / det
     if rho < 1e-12:
@@ -258,28 +250,27 @@ def _sample_check(lattice: Lattice, R: float, n_samples: int,
     """The sampling check of verify_covering, with the probes given."""
     fd = fundamental_domain(lattice)
     M = np.array([fd.T1, fd.T2, fd.T3], float)
-    u = qmc.Halton(d=3, scramble=False).random(n_samples)
-    smp = u @ M
-
-    inv_words = inverse(_shell_words(lattice, 2))
-    # table accept works where the sheared profile is monotone (R <= pi)
-    table = None
-    if R <= PI:
-        thetas = np.linspace(0.0, 0.5 * PI, 4001)
-        prof = np.array([_profile(R, t) for t in thetas])
-        table = (prof[:, 1], prof[:, 0])
+    smp = qmc.Halton(d=3, scramble=False).random(n_samples) @ M
+    # nearest words first, so most samples pass the table test within a few
+    # words; no result depends on the word order
+    words = _shell_words(lattice, 2)
+    near = np.argsort(np.linalg.norm(words.T - 0.5 * M.sum(axis=0), axis=1))
+    inv_words = inverse(words[:, near])
 
     margin = 1e-6
     alive = np.arange(n_samples)
     sx, sy, sz = smp[:, 0].copy(), smp[:, 1].copy(), smp[:, 2].copy()
-    if table is not None:
+    # table accept works where the sheared profile is monotone (R <= pi)
+    if R <= PI:
+        thetas = np.linspace(0.0, 0.5 * PI, 4001)
+        prof = np.array([_profile(R, t) for t in thetas])
         for winv in zip(*inv_words):
             if len(alive) == 0:
                 break
             lx, ly, lz = translate((sx[alive], sy[alive], sz[alive]), winv)
             rho = np.hypot(lx, ly)
             zs = np.abs(lz - 0.5 * lx * ly)
-            xs = np.interp(zs, table[0], table[1])
+            xs = np.interp(zs, prof[:, 1], prof[:, 0])
             ok = (zs <= R) & (rho <= xs - margin)
             alive = alive[~ok]
 

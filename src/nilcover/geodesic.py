@@ -19,8 +19,11 @@ radius s is the surface of revolution of the profile curve
     Z(s, theta) = w*s + (c^2 s^3 w / 2)*g(u),
 
 so d(O, p) solves X = rho, Z = |zeta|, and alpha falls out in closed form.
-Geodesic spheres exist for radii up to 2*pi; beyond that there is no
-minimizing geodesic back to the origin and the solver reports failure.
+Geodesic spheres exist for radii up to 2*pi.  A geodesic of pitch theta
+minimizes up to arc length 2*pi/|sin(theta)|, which is never below 2*pi,
+so any root of the profile system with s <= 2*pi belongs to a minimizing
+geodesic and is the distance.  The solver accepts only such roots; a point
+farther than 2*pi from the origin raises NoSolutionError.
 """
 
 from __future__ import annotations
@@ -133,7 +136,6 @@ class GeodesicParams:
 class GeodesicSolveResult:
     params: GeodesicParams
     residual: float
-    branch_count: int
 
 
 def geodesic_xyz(alpha: float, theta: float, s: float) -> Point:
@@ -225,32 +227,49 @@ def _reduced(target: Point):
     return rho, zeta
 
 
-def distance_to_origin(p: Point) -> float:
-    """Arc length of a minimizing geodesic from the origin to p."""
-    rho, zeta = _reduced(p)
+def _invert_profile(rho, zeta):
+    """The minimizing root (theta, s) for the sheared target (rho, zeta).
+
+    The root solves the profile system for |zeta|, so theta >= 0; callers
+    sign it.  The distance is at least rho, and the longest vertical chord
+    of the 2*pi ball is 5*pi, so targets past either bound are out of
+    reach.  A root with s <= 2*pi is minimizing (see the module
+    docstring): the single Newton run is accepted whenever it finds one,
+    and the multistart sweep runs only when it does not.
+    """
     zs = abs(zeta)
+    if rho > TWO_PI + 1e-9 or zs > 2.5 * PI + 1e-9:
+        raise NoSolutionError("(rho=%g, |zeta|=%g) lies beyond geodesic reach"
+                              % (rho, zs))
     if rho < 1e-14:
-        if zs <= TWO_PI + 1e-9:
-            return zs
-        raise NoSolutionError("point beyond geodesic reach (fibre distance %g > 2*pi)" % zs)
-    if zs < 1e-14 and rho <= TWO_PI + 1e-9:
+        root = (0.5 * PI, zs)
+    elif zs < 1e-14:
         # equatorial target: the profile solve degenerates to theta = 0
-        return rho
-    # fast path: a single Newton run from a cone-angle start; validated to
-    # agree with the full sweep, kept conservative by accepting only s <= pi
-    th0 = math.atan2(zs, rho)
-    R0 = math.hypot(rho, zs)
-    sol = _newton_profile(rho, zs, min(th0, 0.5 * PI * 0.999), min(R0, TWO_PI))
-    if sol is not None and sol[1] <= PI:
-        return sol[1]
-    roots = _all_profile_roots(rho, zs)
-    if not roots:
-        raise NoSolutionError("no geodesic of length <= 2*pi reaches (rho=%g, zeta=%g)" % (rho, zs))
-    return min(r[1] for r in roots)
+        root = (0.0, rho)
+    else:
+        th0 = math.atan2(zs, rho)
+        R0 = math.hypot(rho, zs)
+        root = _newton_profile(rho, zs, min(th0, 0.5 * PI * 0.999),
+                               min(R0, TWO_PI))
+        if root is None or root[1] > TWO_PI + 1e-9:
+            roots = _all_profile_roots(rho, zs)
+            root = roots[0] if roots else None
+    if root is None or root[1] > TWO_PI + 1e-9:
+        raise NoSolutionError("no geodesic of length <= 2*pi reaches "
+                              "(rho=%g, |zeta|=%g)" % (rho, zs))
+    return root
+
+
+def distance_to_origin(p: Point) -> float:
+    """Arc length of a minimizing geodesic from the origin to p.
+
+    Raises NoSolutionError when p lies farther than 2*pi from the origin.
+    """
+    return _invert_profile(*_reduced(p))[1]
 
 
 def distance(p1: Point, p2: Point) -> float:
-    """Nil distance between two points (certified for values up to 2*pi)."""
+    """Nil distance between two points; NoSolutionError beyond 2*pi."""
     return distance_to_origin(_relative_target(p1, p2))
 
 
@@ -269,31 +288,17 @@ def _params_from_root(theta, s, target: Point) -> GeodesicParams:
 
 
 def geodesic_between(p1: Point, p2: Point) -> GeodesicSolveResult:
-    """Minimizing geodesic taking p1 to p2, found by the multistart sweep.
+    """Minimizing geodesic taking p1 to p2.
 
     The search runs in the frame translating p1 to the origin; the returned
-    parameters describe the geodesic from p1 directly.  branch_count is the
-    number of distinct local solutions the sweep converged to.
+    parameters describe the geodesic from p1 directly.  Below arc length
+    2*pi the minimizing geodesic is unique; a p2 farther than 2*pi from p1
+    raises NoSolutionError.
     """
     target = _relative_target(p1, p2)
     rho, zeta = _reduced(target)
-    zs = abs(zeta)
-    if rho < 1e-14 and zs < 1e-14:
-        return GeodesicSolveResult(GeodesicParams(0.0, 0.0, 0.0), 0.0, 1)
-    if rho < 1e-14:
-        if zs > TWO_PI + 1e-9:
-            raise NoSolutionError("point beyond geodesic reach")
-        theta = 0.5 * PI if zeta > 0 else -0.5 * PI
-        return GeodesicSolveResult(GeodesicParams(0.0, theta, zs), 0.0, 1)
-    roots = _all_profile_roots(rho, zs)
-    if not roots:
-        raise NoSolutionError("no geodesic of length <= 2*pi found")
-    s_min = min(r[1] for r in roots)
-    # ties: smallest |theta|, then smallest alpha
-    tied = [r for r in roots if r[1] - s_min < _ROOT_TOL]
-    candidates = [_params_from_root(th, s, target) for th, s in tied]
-    candidates.sort(key=lambda g: (abs(g.theta), g.alpha))
-    best = candidates[0]
-    endpoint = geodesic_point(best)
-    residual = math.dist(endpoint, target)
-    return GeodesicSolveResult(best, residual, len(roots))
+    if rho < 1e-14 and abs(zeta) < 1e-14:
+        return GeodesicSolveResult(GeodesicParams(0.0, 0.0, 0.0), 0.0)
+    best = _params_from_root(*_invert_profile(rho, zeta), target)
+    residual = math.dist(geodesic_point(best), target)
+    return GeodesicSolveResult(best, residual)

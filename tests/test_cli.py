@@ -246,10 +246,11 @@ def test_domain_error_exit_two(capsys):
 
 
 def test_no_solution_exit_three(capsys):
-    code, _, err = run_cli(capsys, "distance", "--from", "0,0,0",
-                           "--to", "9,0,0")
-    assert code == 3
-    assert "error:" in err
+    for to in ("9,0,0", "6.35,0,0"):
+        code, _, err = run_cli(capsys, "distance", "--from", "0,0,0",
+                               "--to", to)
+        assert code == 3
+        assert "error:" in err
 
 
 def test_io_error_exit_four(capsys):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from nilcover import covering
+from nilcover import covering, geodesic
 from nilcover import (DomainError, LatticeBasis, NoSolutionError, ball_volume,
                       bound_f, bound_f1, bound_f2, circumball, covering_density,
                       covering_radius, distance, domain_tetrahedra,
@@ -17,7 +17,8 @@ from nilcover import (DomainError, LatticeBasis, NoSolutionError, ball_volume,
                       hex_covering_radius, hex_density, hex_family_lattice,
                       lattice_from_params, lattice_points_in_shell,
                       lower_bound_density, m_map,
-                      minimize_lower_bound, optimize_hex, verify_covering)
+                      minimize_lower_bound, optimize_hex, translate,
+                      verify_covering)
 
 UNIT = LatticeBasis(t1=(1.0, 0.0, 0.0), t2=(0.0, 1.0, 0.0), k=1)
 OPT = LatticeBasis(t1=(1.30633820, 0.0, 0.73894461),
@@ -62,6 +63,28 @@ def test_circumball_against_minimax_oracle():
                        method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
         assert res.radius <= opt.fun + 1e-6
+
+
+def test_distance_gradient_matches_central_differences():
+    rng = random.Random(103)
+    pairs = [tuple(tuple(rng.uniform(-1.0, 1.0) for _ in range(3))
+                   for _ in range(2)) for _ in range(20)]
+    c0 = (0.3, -0.4, 0.2)
+    # targets on the axis (rho = 0) and on the equator (zeta = 0) relative
+    # to c0, which the closed forms solve
+    pairs += [(c0, translate((0.0, 0.0, 1.1), c0)),
+              (c0, translate((0.6, 0.5, 0.15), c0))]
+    h = 1e-6
+    for c, p in pairs:
+        d, grad = covering._distance_and_gradient(c, p)
+        assert d == distance(c, p)
+        for i in range(3):
+            cp = tuple(x + h * (j == i) for j, x in enumerate(c))
+            cm = tuple(x - h * (j == i) for j, x in enumerate(c))
+            fd = (distance(cp, p) - distance(cm, p)) / (2.0 * h)
+            assert abs(grad[i] - fd) < 1e-6
+    with pytest.raises(NoSolutionError):
+        covering._distance_and_gradient(c0, c0)
 
 
 def test_all_six_tetrahedra_congruent_at_optimum():
@@ -110,6 +133,22 @@ def test_witness_distance_far_below_radius():
             continue
     assert abs(res.witness_distance - d) < 1e-8
     assert res.witness_distance == pytest.approx(0.69928, abs=1e-5)
+
+
+def test_verify_covering_independent_of_word_order(monkeypatch):
+    # the table pass tries the shell words nearest-first; shuffling the
+    # words it is given must not change any result, witness included
+    cases = [(UNIT, 0.65), (UNIT, 0.7), (UNIT, 0.9), (OPT, 0.9),
+             (LatticeBasis((1.1, 0.0, 0.495), (0.33, 0.99, 0.658), 2), 0.8)]
+    expected = [verify_covering(lattice_from_params(b), R, 2000)
+                for b, R in cases]
+    shell_words = covering._shell_words
+    perm = np.random.default_rng(5).permutation(125)
+    monkeypatch.setattr(covering, "_shell_words",
+                        lambda lat, n: shell_words(lat, n)[:, perm])
+    got = [verify_covering(lattice_from_params(b), R, 2000) for b, R in cases]
+    assert got == expected
+    assert [r.covered for r in got] == [False, False, True, False, True]
 
 
 def test_verify_covering_tiny_radius():
@@ -168,6 +207,25 @@ def test_covering_radius_bisection(monkeypatch, caplog):
     assert abs(rep.covering_radius - 0.90293941) < 1e-6
     assert rep.verified
     assert len(circumballs) == 6
+
+
+def test_no_multistart_sweeps_on_paper_lattices(monkeypatch):
+    # circumball line searches try centres out of geodesic reach; the
+    # reach test must reject them without a multistart sweep
+    sweep = geodesic._all_profile_roots
+    sweeps = []
+
+    def counted(*args):
+        sweeps.append(args)
+        return sweep(*args)
+
+    for module in (geodesic, covering):
+        if getattr(module, "_all_profile_roots", None) is sweep:
+            monkeypatch.setattr(module, "_all_profile_roots", counted)
+    covering_density(lattice_from_params(OPT))
+    assert sweeps == []
+    optimize_hex()
+    assert sweeps == []
 
 
 def test_bound_f_values():

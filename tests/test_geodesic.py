@@ -61,6 +61,19 @@ def test_distance_round_trip():
         assert abs(distance_to_origin(p) - s) < 1e-8
 
 
+def test_distance_round_trip_beyond_pi():
+    # every geodesic with |theta| <= 1.4 minimizes past 2*pi, so a root
+    # found between pi and 2*pi is the distance
+    rng = random.Random(43)
+    for _ in range(200):
+        a = rng.uniform(-math.pi, math.pi)
+        th = rng.uniform(-1.4, 1.4)
+        s = rng.uniform(math.pi, 6.2)
+        p = geodesic_xyz(a, th, s)
+        assert abs(distance_to_origin(p) - s) < 1e-9
+        assert geodesic_between((0.0, 0.0, 0.0), p).residual < 1e-8
+
+
 def test_geodesic_between_residual():
     rng = random.Random(17)
     for _ in range(100):
@@ -128,8 +141,17 @@ def test_on_axis_distance():
 
 
 def test_far_points_rejected():
-    with pytest.raises(NoSolutionError):
-        distance_to_origin((7.0, 0.0, 0.0))
+    # rho > 2*pi, or |zeta| > 5*pi/2 (half the longest vertical chord of
+    # the 2*pi ball), puts a point beyond geodesic reach
+    origin = (0.0, 0.0, 0.0)
+    for p in [(7.0, 0.0, 0.0), (6.35, 0.0, 0.0), (6.3, 0.2, 0.4),
+              (1.0, 0.0, 8.0)]:
+        with pytest.raises(NoSolutionError):
+            distance_to_origin(p)
+        with pytest.raises(NoSolutionError):
+            distance(origin, p)
+        with pytest.raises(NoSolutionError):
+            geodesic_between(origin, p)
 
 
 def test_in_plane_distance_is_euclidean():
