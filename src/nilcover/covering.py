@@ -111,31 +111,50 @@ def _newton_circumball(pts, v0):
     return v, nrm
 
 
+def _converged_root(pts, v0):
+    """(center, radius) from a circumball Newton run started at v0, or
+    None unless it converged."""
+    out = _newton_circumball(pts, v0)
+    if out is not None and out[1] < _RESIDUAL_TOL:
+        return out[0]
+    return None
+
+
 def circumball(p0: Point, p1: Point, p2: Point, p3: Point) -> CircumballResult:
     """Ball through four points: the center equidistant from all of them.
 
-    Damped Newton on (center, radius).  The Euclidean circumcenter starts
-    the solve; if that fails, a coarse grid over an inflated bounding box
-    takes over.  Among converged roots the smallest radius wins.
+    Damped Newton on (center, radius), started in up to three stages; the
+    first stage that accepts a root wins.
+
+    1. The Euclidean circumcenter, unless the points are coplanar.
+    2. The coordinate mean C of the points, with start radius R2, the
+       largest Nil distance from C to the points.  Its root is accepted only
+       if its radius is at most R2: a root past R2 can belong to a larger
+       circumball than the smallest one.
+    3. A coarse grid of starts over an inflated bounding box; among its
+       converged roots the smallest radius wins.
     """
     points = [tuple(float(x) for x in p) for p in (p0, p1, p2, p3)]
     pts = [np.asarray(p, float) for p in points]
 
-    starts = []
+    best = None
     A = np.array([2.0 * (pts[i] - pts[0]) for i in (1, 2, 3)])
     b = np.array([pts[i] @ pts[i] - pts[0] @ pts[0] for i in (1, 2, 3)])
     degenerate = abs(np.linalg.det(A)) < 1e-12
     if not degenerate:
         C = np.linalg.solve(A, b)
         R0 = float(np.mean([np.linalg.norm(q - C) for q in pts]))
-        starts.append(np.array([C[0], C[1], C[2], R0]))
-
-    best = None
-    for v0 in starts:
-        out = _newton_circumball(pts, v0)
-        if out is not None and out[1] < _RESIDUAL_TOL:
-            best = out[0]
-            break
+        best = _converged_root(pts, np.array([C[0], C[1], C[2], R0]))
+    if best is None:
+        C = np.mean(pts, axis=0)
+        try:
+            R2 = max(distance_to_origin(_relative_target(C, q)) for q in pts)
+        except NoSolutionError:
+            pass  # a point lies beyond 2*pi of C: no restart from there
+        else:
+            root = _converged_root(pts, np.array([C[0], C[1], C[2], R2]))
+            if root is not None and root[3] <= R2:
+                best = root
     if best is None:
         # grid fallback: centers can sit outside the point cloud, so the
         # bounding box is inflated by half its diagonal
@@ -153,9 +172,9 @@ def circumball(p0: Point, p1: Point, p2: Point, p3: Point) -> CircumballResult:
             for cy in np.linspace(lo[1], hi[1], 3):
                 for cz in np.linspace(lo[2], hi[2], 3):
                     for r in radii:
-                        out = _newton_circumball(pts, (cx, cy, cz, r))
-                        if out is not None and out[1] < _RESIDUAL_TOL:
-                            found.append(out[0])
+                        root = _converged_root(pts, (cx, cy, cz, r))
+                        if root is not None:
+                            found.append(root)
         if found:
             best = min(found, key=lambda v: v[3])
     if best is None:
@@ -200,17 +219,24 @@ def _circumcenter_probes(lattice: Lattice) -> list:
 def _min_lattice_distance(p: Point, inv_words, R: float, zbound: float,
                           stop_below: float) -> float:
     """Distance from p to the nearest shell lattice point, with a cheap
-    cylinder prefilter; returns early once clearly below stop_below.
+    cylinder prefilter; returns early once at or below stop_below.
 
     inv_words holds the inverses of the shell words as three coordinate
-    arrays.
+    arrays.  The distance to a word is at least its horizontal distance
+    rho, so words are measured in increasing rho and the rest are skipped
+    once rho exceeds the nearest distance found.
     """
     lx, ly, lz = translate(p, inv_words)
     rho = np.hypot(lx, ly)
     zeta = lz - 0.5 * lx * ly
-    near = (rho <= R + 1e-9) & (np.abs(zeta) <= zbound + 1e-9)
+    near = np.flatnonzero((rho <= R + 1e-9) & (np.abs(zeta) <= zbound + 1e-9))
+    near = near[np.argsort(rho[near], kind="stable")]
     dmin = math.inf
-    for q in zip(lx[near].tolist(), ly[near].tolist(), lz[near].tolist()):
+    for r, q in zip(rho[near].tolist(), zip(lx[near].tolist(),
+                                            ly[near].tolist(),
+                                            lz[near].tolist())):
+        if r > dmin:
+            break
         try:
             d = distance_to_origin(q)
         except NoSolutionError:
@@ -233,16 +259,36 @@ def verify_covering(lattice: Lattice, R: float,
     boundary stragglers; the circumcenters of the domain tetrahedra are
     probed first.
 
-    When a sample is uncovered, returns one with its exact distance to the
-    lattice as witness.  It is the worst uncovered sample only among those
-    within R_search (about 1.05*R) of a lattice point; a sample farther
-    from every lattice point can be worse and go unreported.
+    When a sample is uncovered, returns the worst uncovered sample (or
+    probe) as witness, with its exact distance to the shell lattice points.
     """
     if not 0.0 < R <= TWO_PI + 1e-12:
         raise DomainError("covering radius must lie in (0, 2*pi]")
     if n_samples < 1:
         raise DomainError("need at least one sample")
     return _sample_check(lattice, R, n_samples, _circumcenter_probes(lattice))
+
+
+def _table_survivors(sx, sy, sz, inv_words, R: float,
+                     margin: float) -> np.ndarray:
+    """Indices of the points (coordinate arrays sx, sy, sz) that a sheared
+    profile-table test cannot place within R - margin of a shell word.
+
+    The table test needs the profile at R to be monotone: R <= pi.
+    """
+    thetas = np.linspace(0.0, 0.5 * PI, 4001)
+    prof = np.array([_profile(R, t) for t in thetas])
+    alive = np.arange(len(sx))
+    for winv in zip(*inv_words):
+        if len(alive) == 0:
+            break
+        lx, ly, lz = translate((sx[alive], sy[alive], sz[alive]), winv)
+        rho = np.hypot(lx, ly)
+        zs = np.abs(lz - 0.5 * lx * ly)
+        xs = np.interp(zs, prof[:, 1], prof[:, 0])
+        ok = (zs <= R) & (rho <= xs - margin)
+        alive = alive[~ok]
+    return alive
 
 
 def _sample_check(lattice: Lattice, R: float, n_samples: int,
@@ -258,21 +304,13 @@ def _sample_check(lattice: Lattice, R: float, n_samples: int,
     inv_words = inverse(words[:, near])
 
     margin = 1e-6
-    alive = np.arange(n_samples)
     sx, sy, sz = smp[:, 0].copy(), smp[:, 1].copy(), smp[:, 2].copy()
-    # table accept works where the sheared profile is monotone (R <= pi)
+    # the table test settles the bulk where it applies; exact distances
+    # settle the stragglers
     if R <= PI:
-        thetas = np.linspace(0.0, 0.5 * PI, 4001)
-        prof = np.array([_profile(R, t) for t in thetas])
-        for winv in zip(*inv_words):
-            if len(alive) == 0:
-                break
-            lx, ly, lz = translate((sx[alive], sy[alive], sz[alive]), winv)
-            rho = np.hypot(lx, ly)
-            zs = np.abs(lz - 0.5 * lx * ly)
-            xs = np.interp(zs, prof[:, 1], prof[:, 0])
-            ok = (zs <= R) & (rho <= xs - margin)
-            alive = alive[~ok]
+        alive = _table_survivors(sx, sy, sz, inv_words, R, margin)
+    else:
+        alive = np.arange(n_samples)
 
     worst_d = -1.0
     worst_p = None
@@ -281,19 +319,39 @@ def _sample_check(lattice: Lattice, R: float, n_samples: int,
     R_search = min(1.05 * R + 1e-3, TWO_PI)
     zb_search = 0.5 * max_vertical_chord(R_search)
     stragglers = [(float(sx[i]), float(sy[i]), float(sz[i])) for i in alive]
+    far = []
     for p in probes + stragglers:
         dmin = _min_lattice_distance(p, inv_words, R_search, zb_search,
                                      R - margin)
-        if dmin > R + 1e-9:
-            if dmin > worst_d:
-                worst_d, worst_p = dmin, p
+        if dmin > R_search:
+            far.append(p)
+        elif dmin > R + 1e-9 and dmin > worst_d:
+            worst_d, worst_p = dmin, p
+    if far:
+        # a point with no lattice point within R_search lies farther than
+        # every point measured above, so these are measured without the cut.
+        # The one farthest horizontally from the lattice (d >= rho) goes
+        # first; the table test at its distance drops the rest that lie
+        # nearer, and each survivor stops once it is within worst_d.
+        fx, fy, fz = np.array(far).T
+        lb = np.full(len(far), math.inf)
+        for ix, iy in zip(inv_words[0], inv_words[1]):
+            lb = np.minimum(lb, np.hypot(fx + ix, fy + iy))
+        order = np.argsort(-lb, kind="stable")
+        worst_p = far[order[0]]
+        worst_d = _min_lattice_distance(worst_p, inv_words, math.inf,
+                                        math.inf, worst_d)
+        rest = order[1:]
+        if worst_d <= PI:
+            rest = rest[_table_survivors(fx[rest], fy[rest], fz[rest],
+                                         inv_words, worst_d, margin)]
+        for i in rest.tolist():
+            d = _min_lattice_distance(far[i], inv_words, math.inf, math.inf,
+                                      worst_d)
+            if d > worst_d:
+                worst_d, worst_p = d, far[i]
     if worst_p is None:
         return CoverageResult(covered=True, radius=R, samples=n_samples)
-    if worst_d > R_search:
-        # every point within R_search passes the cut, so the witness's
-        # nearest lattice point lies beyond it: measure without the cut
-        worst_d = _min_lattice_distance(worst_p, inv_words, math.inf,
-                                        math.inf, R - margin)
     return CoverageResult(covered=False, radius=R, samples=n_samples,
                           witness=worst_p, witness_distance=float(worst_d))
 

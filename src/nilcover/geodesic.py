@@ -24,12 +24,20 @@ minimizes up to arc length 2*pi/|sin(theta)|, which is never below 2*pi,
 so any root of the profile system with s <= 2*pi belongs to a minimizing
 geodesic and is the distance.  The solver accepts only such roots; a point
 farther than 2*pi from the origin raises NoSolutionError.
+
+The reach rule is exact.  X(2*pi, theta) falls strictly from 2*pi to 0 on
+[0, pi/2], so the 2*pi sphere's profile is a graph over rho: with theta*
+the root of X(2*pi, theta*) = rho, the closed 2*pi ball is the set of
+(rho, zeta) with rho <= 2*pi and |zeta| <= Z(2*pi, theta*).  A target
+outside it (past a 1e-9 margin) has no root with s <= 2*pi.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from scipy.optimize import brentq
 
 from .core import Point, inverse, translate
 from .errors import NoSolutionError
@@ -227,15 +235,34 @@ def _reduced(target: Point):
     return rho, zeta
 
 
+def _check_reach(rho, zs):
+    """Raise NoSolutionError unless (rho, zs) lies in the closed 2*pi ball.
+
+    Exact (see the module docstring): the 2*pi sphere's profile height at
+    rho is Z(2*pi, theta*) with X(2*pi, theta*) = rho, theta* on [0, pi/2].
+    """
+    if rho >= TWO_PI:
+        theta = 0.0
+    else:
+        theta = brentq(lambda t: _profile(TWO_PI, t)[0] - rho,
+                       0.0, 0.5 * PI, xtol=1e-15)
+    if zs > _profile(TWO_PI, theta)[1] + 1e-9:
+        raise NoSolutionError("(rho=%g, |zeta|=%g) lies outside the 2*pi ball"
+                              % (rho, zs))
+
+
 def _invert_profile(rho, zeta):
     """The minimizing root (theta, s) for the sheared target (rho, zeta).
 
     The root solves the profile system for |zeta|, so theta >= 0; callers
-    sign it.  The distance is at least rho, and the longest vertical chord
-    of the 2*pi ball is 5*pi, so targets past either bound are out of
-    reach.  A root with s <= 2*pi is minimizing (see the module
-    docstring): the single Newton run is accepted whenever it finds one,
-    and the multistart sweep runs only when it does not.
+    sign it.  The reach rule has a cheap and an exact form.  The distance
+    is at least rho, and the longest vertical chord of the 2*pi ball is
+    5*pi, so a target with rho > 2*pi or |zeta| > 5*pi/2 is rejected at
+    once.  A root with s <= 2*pi is minimizing (see the module docstring):
+    the single Newton run is accepted whenever it finds one.  When it does
+    not, the exact test rejects a target with |zeta| > Z(2*pi, theta*) + 1e-9,
+    where X(2*pi, theta*) = rho, and the multistart sweep runs only for
+    targets inside the 2*pi ball.
     """
     zs = abs(zeta)
     if rho > TWO_PI + 1e-9 or zs > 2.5 * PI + 1e-9:
@@ -252,6 +279,7 @@ def _invert_profile(rho, zeta):
         root = _newton_profile(rho, zs, min(th0, 0.5 * PI * 0.999),
                                min(R0, TWO_PI))
         if root is None or root[1] > TWO_PI + 1e-9:
+            _check_reach(rho, zs)
             roots = _all_profile_roots(rho, zs)
             root = roots[0] if roots else None
     if root is None or root[1] > TWO_PI + 1e-9:

@@ -120,8 +120,9 @@ def test_verify_covering_tight():
 
 
 def test_witness_distance_far_below_radius():
-    # at R = 0.65 the witness's nearest lattice point lies beyond the exact
-    # pass's search radius; the reported distance must still be its own
+    # at R = 0.65 several samples have no lattice point within the exact
+    # pass's search radius; the witness must be the worst of them (0.69928
+    # was the first one found), and the reported distance its own
     lat = lattice_from_params(UNIT)
     res = verify_covering(lat, 0.65, 2000)
     assert not res.covered
@@ -132,7 +133,10 @@ def test_witness_distance_far_below_radius():
         except NoSolutionError:
             continue
     assert abs(res.witness_distance - d) < 1e-8
-    assert res.witness_distance == pytest.approx(0.69928, abs=1e-5)
+    assert res.witness_distance == pytest.approx(0.75599, abs=1e-5)
+    assert res.witness == pytest.approx((0.44580, 0.53681, 0.43712), abs=1e-5)
+    # at R = 0.01 every sample is such a straggler: same worst sample
+    assert verify_covering(lat, 0.01, 2000) == replace(res, radius=0.01)
 
 
 def test_verify_covering_independent_of_word_order(monkeypatch):
@@ -175,15 +179,15 @@ def test_covering_density_report():
     assert rep.density * rep.domain_volume == pytest.approx(rep.ball_volume)
 
 
-def _count_calls(monkeypatch, name, wrap=lambda res: res):
+def _count_calls(monkeypatch, name, wrap=lambda res: res, module=covering):
     calls = []
-    real = getattr(covering, name)
+    real = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
         return wrap(real(*args))
 
-    monkeypatch.setattr(covering, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -226,6 +230,60 @@ def test_no_multistart_sweeps_on_paper_lattices(monkeypatch):
     assert sweeps == []
     optimize_hex()
     assert sweeps == []
+
+
+def _normal_form(t11, a, b, k):
+    t21, t22 = a * t11, b * t11
+    fibre = t11 * t22
+    return LatticeBasis((t11, 0.0, 0.5 * fibre),
+                        (t21, t22, 0.5 * (fibre + t21 * t22)), k)
+
+
+def test_no_multistart_sweeps_out_of_2pi_reach(monkeypatch):
+    # a line-search trial centre of this seeded normal-form lattice lies
+    # at rho = 6.03, |zeta| = 4.79: inside the cheap reach bounds, outside
+    # the 2*pi ball; the exact reach test rejects it without a sweep
+    sweeps = _count_calls(monkeypatch, "_all_profile_roots", module=geodesic)
+    basis = LatticeBasis((1.3583922569872162, 0, 0.7919083901351797),
+                         (0.17242402546769206, 1.1659495054713527,
+                          0.8924272437478974), k=2)
+    assert covering_density(lattice_from_params(basis)).verified
+    assert sweeps == []
+
+
+def test_circumball_centroid_restart(monkeypatch):
+    # one domain tetrahedron of each lattice fails its Euclidean start; the
+    # centroid start solves it, so no circumball reaches the grid
+    sweeps = _count_calls(monkeypatch, "_all_profile_roots", module=geodesic)
+    newtons = _count_calls(monkeypatch, "_newton_circumball")
+    per_ball = []
+    real = covering.circumball
+
+    def counted(*args):
+        before = len(newtons)
+        res = real(*args)
+        per_ball.append(len(newtons) - before)
+        return res
+
+    monkeypatch.setattr(covering, "circumball", counted)
+    for basis, R in ((_normal_form(1.6, 0.25, 0.875, 2), 1.31277238),
+                     (_normal_form(1.8, 0.5, 0.75, 1), 1.30871930)):
+        per_ball.clear()
+        rep = covering_density(lattice_from_params(basis))
+        assert abs(rep.covering_radius - R) < 1e-7
+        assert len(per_ball) == 6
+        assert 2 in per_ball
+        assert max(per_ball) <= 2
+    assert sweeps == []
+
+
+def test_circumball_restart_guard():
+    # the centroid start converges here to a circumball of radius 4.78401346,
+    # past its start radius, so the grid runs and finds the smallest
+    res = circumball((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0),
+                     (0.0, 1.0, 0.0))
+    assert abs(res.radius - 4.04049001) < 1e-7
+    assert res.residual <= 1e-8
 
 
 def test_bound_f_values():

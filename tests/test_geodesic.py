@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from nilcover import geodesic
 from nilcover import (NoSolutionError, distance, distance_to_origin,
                       geodesic_between, geodesic_xyz, line_reflect_y,
                       rotate_z, translate)
@@ -152,6 +153,48 @@ def test_far_points_rejected():
             distance(origin, p)
         with pytest.raises(NoSolutionError):
             geodesic_between(origin, p)
+
+
+def _count_sweeps(monkeypatch):
+    sweeps = []
+    sweep = geodesic._all_profile_roots
+
+    def counted(*args):
+        sweeps.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(geodesic, "_all_profile_roots", counted)
+    return sweeps
+
+
+def test_reach_test_keeps_every_point_within_2pi():
+    # soundness: no endpoint of a geodesic of length <= 2*pi is rejected,
+    # every tenth one on the 2*pi sphere itself
+    rng = random.Random(47)
+    rejected = []
+    for i in range(2000):
+        th = rng.uniform(0.0, 0.5 * math.pi)
+        s = 2 * math.pi if i % 10 == 0 else rng.uniform(0.0, 2 * math.pi)
+        rho, zeta = geodesic._reduced(
+            geodesic_xyz(rng.uniform(-math.pi, math.pi), th, s))
+        try:
+            geodesic._check_reach(rho, abs(zeta))
+        except NoSolutionError:
+            rejected.append((th, s))
+    assert rejected == []
+
+
+def test_reach_test_rejects_before_sweeping(monkeypatch):
+    # sharpness: a circumball trial centre from a seeded normal-form
+    # lattice passes the cheap bounds (rho <= 2*pi, |zeta| <= 5*pi/2), but
+    # its only root has s = 6.48 > 2*pi; the 2*pi ball reaches only
+    # |zeta| = 3.54 at this rho
+    sweeps = _count_sweeps(monkeypatch)
+    with pytest.raises(NoSolutionError):
+        geodesic._invert_profile(6.033, 4.789)
+    with pytest.raises(NoSolutionError):
+        geodesic._invert_profile(6.033, -4.789)
+    assert sweeps == []
 
 
 def test_in_plane_distance_is_euclidean():
