@@ -19,7 +19,7 @@ from scipy.optimize import minimize_scalar
 from .constants import BALL_CONVEXITY_MAX_RADIUS, M_IMAGE_CONVEXITY_MAX_RADIUS
 from .core import Point, m_inverse
 from .errors import DomainError
-from .geodesic import PI, TWO_PI, _profile, _profile_dz
+from .geodesic import PI, TWO_PI, _profile, _profile_dz, _profile_fj
 
 
 def _check_radius(R: float, allow_zero=False) -> float:
@@ -63,8 +63,8 @@ def ball_volume(R: float) -> float:
         return 0.0
 
     def integrand(theta):
-        X, _ = _profile(R, theta)
-        return X * X * _profile_dz(R, theta)
+        X, _, _, _, dZdt, _ = _profile_fj(R, theta)
+        return X * X * dZdt
 
     val, _err = quad(integrand, 0.0, 0.5 * PI, epsabs=1e-13, epsrel=1e-12, limit=200)
     return TWO_PI * val
@@ -103,8 +103,19 @@ def max_vertical_chord(R: float) -> float:
 
     The shear preserves vertical chords, and in the sheared picture the
     longest one is the symmetric pair +-max Z(R, theta).
+
+    For R <= pi the chord is the vertical diameter 2R.  There u = R sin(theta)
+    lies in [0, pi] and
+
+        dZ/dtheta = c R^3 q(u) + (1/2) c R (1 + cos u) >= 0,
+
+    because 2 sin u - u(1 + cos u) = 4 cos(u/2) (sin(u/2) - (u/2) cos(u/2))
+    is >= 0 on [0, pi] (tan x >= x on [0, pi/2)), so q(u) >= 0.  Z then
+    rises to its top Z(R, pi/2) = R.  Past pi the top is found numerically.
     """
     R = _check_radius(R)
+    if R <= PI:
+        return 2.0 * R
     res = minimize_scalar(lambda t: -_profile(R, t)[1], bounds=(0.0, 0.5 * PI),
                           method="bounded", options={"xatol": 1e-12})
     zmax = max(-res.fun, _profile(R, 0.5 * PI)[1])

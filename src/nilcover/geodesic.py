@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .core import Point, inverse, translate
@@ -69,30 +70,6 @@ def _g(u: float) -> float:
     return (u - math.sin(u)) / (u * u * u)
 
 
-def _p(u: float) -> float:
-    # (1 - cos u) / u^2
-    if abs(u) < 0.1:
-        u2 = u * u
-        return 0.5 - u2 / 24 + u2 * u2 / 720 - u2 * u2 * u2 / 40320
-    return (1.0 - math.cos(u)) / (u * u)
-
-
-def _q(u: float) -> float:
-    # (2 sin u - u (1 + cos u)) / (2 u^3)
-    if abs(u) < 0.1:
-        u2 = u * u
-        return 1.0 / 12 - u2 / 80 + u2 * u2 / 2016 - u2 * u2 * u2 / 103680
-    return (2.0 * math.sin(u) - u * (1.0 + math.cos(u))) / (2.0 * u ** 3)
-
-
-def _h(v: float) -> float:
-    # (cos v - sinc v) / v^2
-    if abs(v) < 0.1:
-        v2 = v * v
-        return -1.0 / 3 + v2 / 30 - v2 * v2 / 840 + v2 * v2 * v2 / 45360
-    return (math.cos(v) - _sinc(v)) / (v * v)
-
-
 # ---------------------------------------------------------------------------
 # profile of the sphere's shear image and its derivatives
 
@@ -105,24 +82,82 @@ def _profile(R: float, theta: float) -> tuple[float, float]:
     return X, Z
 
 
+def _profile_array(R: float, theta: np.ndarray):
+    """_profile over an array of theta, with the same series switches.
+
+    Both branches of each switch are evaluated, so the division runs on a
+    stand-in denominator of 1 where the series applies.
+    """
+    w = np.sin(theta)
+    c = np.cos(theta)
+    u = w * R
+    v = 0.5 * u
+    v2 = v * v
+    small = np.abs(v) < 1e-6
+    vs = np.where(small, 1.0, v)
+    sinc = np.where(small, 1.0 - v2 / 6.0 + v2 * v2 / 120.0, np.sin(vs) / vs)
+    u2 = u * u
+    small = np.abs(u) < 0.1
+    us = np.where(small, 1.0, u)
+    g = np.where(small,
+                 1.0 / 6 - u2 / 120 + u2 * u2 / 5040 - u2 * u2 * u2 / 362880,
+                 (us - np.sin(us)) / (us * us * us))
+    X = c * R * sinc
+    Z = w * R + 0.5 * c * c * w * R ** 3 * g
+    return X, Z
+
+
+def _profile_fj(R: float, theta: float):
+    """The profile and its partials in one pass.
+
+    Returns (X, Z, dX/dtheta, dX/dR, dZ/dtheta, dZ/dR).  X and Z equal
+    _profile(R, theta) bit for bit.  With v = u/2 the series-switched
+    factors are
+        p(u) = (1 - cos u)/u^2,
+        q(u) = (2 sin u - u(1 + cos u))/(2 u^3),
+        h(v) = (cos v - sinc v)/v^2,
+    and the sines and cosines of theta, v and u are taken once.
+    """
+    w = math.sin(theta)
+    c = math.cos(theta)
+    u = w * R
+    v = 0.5 * u
+    sin_v = math.sin(v)
+    cos_v = math.cos(v)
+    sin_u = math.sin(u)
+    cos_u = math.cos(u)
+    R3 = R ** 3
+    if abs(v) < 1e-6:
+        v2 = v * v
+        sinc = 1.0 - v2 / 6.0 + v2 * v2 / 120.0
+    else:
+        sinc = sin_v / v
+    if abs(v) < 0.1:
+        v2 = v * v
+        h = -1.0 / 3 + v2 / 30 - v2 * v2 / 840 + v2 * v2 * v2 / 45360
+    else:
+        h = (cos_v - sinc) / (v * v)
+    if abs(u) < 0.1:
+        u2 = u * u
+        g = 1.0 / 6 - u2 / 120 + u2 * u2 / 5040 - u2 * u2 * u2 / 362880
+        p = 0.5 - u2 / 24 + u2 * u2 / 720 - u2 * u2 * u2 / 40320
+        q = 1.0 / 12 - u2 / 80 + u2 * u2 / 2016 - u2 * u2 * u2 / 103680
+    else:
+        g = (u - sin_u) / (u * u * u)
+        p = (1.0 - cos_u) / (u * u)
+        q = (2.0 * sin_u - u * (1.0 + cos_u)) / (2.0 * u ** 3)
+    X = c * R * sinc
+    Z = w * R + 0.5 * c * c * w * R3 * g
+    dXdt = 0.25 * c * c * w * R3 * h - 2.0 * sin_v
+    dXdR = c * cos_v
+    dZdt = c * R3 * q + 0.5 * c * R * (1.0 + cos_u)
+    dZdR = w * (1.0 + 0.5 * c * c * R * R * p)
+    return X, Z, dXdt, dXdR, dZdt, dZdR
+
+
 def _profile_dz(R: float, theta: float) -> float:
     """dZ/dtheta at fixed R; smooth on the closed interval."""
-    w = math.sin(theta)
-    c = math.cos(theta)
-    u = w * R
-    return c * R ** 3 * _q(u) + 0.5 * c * R * (1.0 + math.cos(u))
-
-
-def _profile_jacobian(R: float, theta: float):
-    """Returns (dX/dtheta, dX/dR, dZ/dtheta, dZ/dR)."""
-    w = math.sin(theta)
-    c = math.cos(theta)
-    u = w * R
-    dXdR = c * math.cos(0.5 * u)
-    dZdR = w * (1.0 + 0.5 * c * c * R * R * _p(u))
-    dXdt = 0.25 * c * c * w * R ** 3 * _h(0.5 * u) - 2.0 * math.sin(0.5 * u)
-    dZdt = _profile_dz(R, theta)
-    return dXdt, dXdR, dZdt, dZdR
+    return _profile_fj(R, theta)[4]
 
 
 # ---------------------------------------------------------------------------
@@ -169,38 +204,35 @@ def geodesic_point(g: GeodesicParams) -> Point:
 def _newton_profile(rho, zeta, th0, R0, itmax=60):
     """Damped Newton on X(R,th) = rho, Z(R,th) = zeta; zeta >= 0 assumed.
 
-    Returns (theta, R) on success, None on failure.
+    Returns (theta, R) on success, None on failure.  Each trial point costs
+    one _profile_fj call; the Jacobian of the accepted point is kept for
+    the next step.
     """
     th, R = th0, R0
-
-    def residual(th, R):
-        X, Z = _profile(R, th)
-        return X - rho, Z - zeta
-
-    f1, f2 = residual(th, R)
+    fj = _profile_fj(R, th)
+    f1, f2 = fj[0] - rho, fj[1] - zeta
     nrm = math.hypot(f1, f2)
     for _ in range(itmax):
         if nrm < 1e-13:
             break
-        dXdt, dXdR, dZdt, dZdR = _profile_jacobian(R, th)
+        _, _, dXdt, dXdR, dZdt, dZdR = fj
         det = dXdt * dZdR - dXdR * dZdt
         if det == 0.0 or not math.isfinite(det):
             return None
         dth = -(f1 * dZdR - f2 * dXdR) / det
         dR = (f1 * dZdt - f2 * dXdt) / det
         step = 1.0
-        improved = False
         for _ in range(30):
             th_n = min(max(th + step * dth, 0.0), 0.5 * PI)
             R_n = min(max(R + step * dR, 1e-9), TWO_PI * 1.05)
-            g1, g2 = residual(th_n, R_n)
+            fj_n = _profile_fj(R_n, th_n)
+            g1, g2 = fj_n[0] - rho, fj_n[1] - zeta
             n_n = math.hypot(g1, g2)
             if n_n < nrm:
-                th, R, f1, f2, nrm = th_n, R_n, g1, g2, n_n
-                improved = True
+                th, R, fj, f1, f2, nrm = th_n, R_n, fj_n, g1, g2, n_n
                 break
             step *= 0.5
-        if not improved:
+        else:
             break
     if nrm < _ROOT_TOL:
         return th, R

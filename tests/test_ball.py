@@ -3,8 +3,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
+from nilcover import geodesic
 from nilcover import (DomainError, ball_volume, distance_to_origin,
                       first_profile_critical_theta, hull_gap, is_ball_convex,
                       is_m_image_convex, m_map, max_vertical_chord,
@@ -53,6 +56,23 @@ def test_vertical_chords():
     # frozen values past the first conjugate radius
     assert abs(max_vertical_chord(3 * math.pi / 2) - 13 * math.pi / 4) < 1e-9
     assert abs(max_vertical_chord(2 * math.pi) - 5 * math.pi) < 1e-9
+
+
+def _chord_by_search(R):
+    # the profile height maximised numerically over theta in [0, pi/2]
+    res = minimize_scalar(lambda t: -geodesic._profile(R, t)[1],
+                          bounds=(0.0, 0.5 * math.pi), method="bounded",
+                          options={"xatol": 1e-12})
+    return 2.0 * max(-res.fun, geodesic._profile(R, 0.5 * math.pi)[1])
+
+
+def test_vertical_chord_closed_form_up_to_pi():
+    # the closed form 2R for R <= pi agrees with the search it replaces;
+    # past pi the search still runs
+    for R in np.linspace(0.0, math.pi, 2002)[1:]:
+        assert abs(max_vertical_chord(R) - _chord_by_search(R)) <= 1e-15
+    for R in np.linspace(math.pi, 2 * math.pi, 41)[1:]:
+        assert max_vertical_chord(R) == _chord_by_search(R)
 
 
 def test_profile_closed_form_point():

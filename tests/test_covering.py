@@ -3,6 +3,7 @@
 import logging
 import math
 import random
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from nilcover import (DomainError, LatticeBasis, NoSolutionError, ball_volume,
                       covering_radius, distance, domain_tetrahedra,
                       equidistant_projection, fundamental_domain,
                       hex_covering_radius, hex_density, hex_family_lattice,
-                      lattice_from_params, lattice_points_in_shell,
+                      inverse, lattice_from_params, lattice_points_in_shell,
                       lower_bound_density, m_map,
                       minimize_lower_bound, optimize_hex, translate,
                       verify_covering)
@@ -153,6 +154,56 @@ def test_verify_covering_independent_of_word_order(monkeypatch):
     got = [verify_covering(lattice_from_params(b), R, 2000) for b, R in cases]
     assert got == expected
     assert [r.covered for r in got] == [False, False, True, False, True]
+
+
+def test_profile_array_matches_scalar_profile():
+    thetas = np.linspace(0.0, 0.5 * math.pi, 4001)
+    for R in (1e-3, 0.19, 0.2, 0.9, math.pi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X, Z = geodesic._profile_array(R, thetas)
+        ref = np.array([geodesic._profile(R, t) for t in thetas])
+        assert np.max(np.abs(X - ref[:, 0])) <= 1e-14
+        assert np.max(np.abs(Z - ref[:, 1])) <= 1e-14
+
+
+def _reference_survivors(sx, sy, sz, inv_words, R, margin):
+    # the table pass without the cylinder prefilter: the scalar profile
+    # table is read for every alive point
+    thetas = np.linspace(0.0, 0.5 * math.pi, 4001)
+    prof = np.array([geodesic._profile(R, t) for t in thetas])
+    alive = np.arange(len(sx))
+    for winv in zip(*inv_words):
+        lx, ly, lz = translate((sx[alive], sy[alive], sz[alive]), winv)
+        rho = np.hypot(lx, ly)
+        zs = np.abs(lz - 0.5 * lx * ly)
+        xs = np.interp(zs, prof[:, 1], prof[:, 0])
+        alive = alive[~((zs <= R) & (rho <= xs - margin))]
+    return alive
+
+
+def test_table_survivors_match_unfiltered_reference():
+    k2 = LatticeBasis((1.1, 0.0, 0.495), (0.33, 0.99, 0.658), 2)
+    for basis in (OPT, UNIT, k2):
+        lat = lattice_from_params(basis)
+        fd = fundamental_domain(lat)
+        M = np.array([fd.T1, fd.T2, fd.T3], float)
+        sx, sy, sz = (covering._unit_halton(4000) @ M).T.copy()
+        inv_words = inverse(covering._shell_words(lat, 2))
+        for R in (0.3, 0.7, 0.90293941 * (1 + 1e-6), 1.5, math.pi):
+            got = covering._table_survivors(sx, sy, sz, inv_words, R, 1e-6)
+            want = _reference_survivors(sx, sy, sz, inv_words, R, 1e-6)
+            assert np.array_equal(got, want)
+
+
+def test_halton_points_shared_read_only():
+    pts = covering._unit_halton(2000)
+    assert not pts.flags.writeable
+    with pytest.raises(ValueError):
+        pts[0, 0] = 1.0
+    lat = lattice_from_params(UNIT)
+    first = verify_covering(lat, 0.7, 2000)
+    assert repr(verify_covering(lat, 0.7, 2000)) == repr(first)
 
 
 def test_verify_covering_tiny_radius():

@@ -211,3 +211,24 @@ def test_known_lattice_distance():
     # generator of the best covering lattice
     t1 = (1.30633820, 0.0, 0.73894461)
     assert abs(distance_to_origin(t1) - 1.4778892262913008) < 1e-10
+
+
+def test_profile_fj_matches_profile_and_central_differences():
+    # the grid crosses every series switch: theta = 0 and pi/2, the band
+    # |u| < 0.1 (theta = 0.01, R = 0.05) and the band |u/2| < 1e-6
+    # (theta = 1e-7)
+    radii = (1e-3, 0.05, 0.19, 0.2, 0.5, 1.0, 2.0, math.pi, 4.0, 5.5,
+             2 * math.pi)
+    thetas = (0.0, 1e-7, 1e-3, 0.01, 0.1, 0.5, 1.0, 1.5, math.pi / 2)
+    h = 1e-6
+    prof = geodesic._profile
+    for R in radii:
+        for th in thetas:
+            X, Z, dXdt, dXdR, dZdt, dZdR = geodesic._profile_fj(R, th)
+            assert (X, Z) == prof(R, th)
+            (Xtp, Ztp), (Xtm, Ztm) = prof(R, th + h), prof(R, th - h)
+            (XRp, ZRp), (XRm, ZRm) = prof(R + h, th), prof(R - h, th)
+            assert dXdt == pytest.approx((Xtp - Xtm) / (2 * h), abs=1e-6)
+            assert dXdR == pytest.approx((XRp - XRm) / (2 * h), abs=1e-6)
+            assert dZdt == pytest.approx((Ztp - Ztm) / (2 * h), abs=1e-6)
+            assert dZdR == pytest.approx((ZRp - ZRm) / (2 * h), abs=1e-6)
