@@ -19,7 +19,7 @@ from scipy.optimize import minimize_scalar
 from .constants import BALL_CONVEXITY_MAX_RADIUS, M_IMAGE_CONVEXITY_MAX_RADIUS
 from .core import Point, m_inverse
 from .errors import DomainError
-from .geodesic import PI, TWO_PI, _profile, _profile_dz, _profile_fj
+from .geodesic import PI, TWO_PI, _profile, _profile_fj
 
 
 def _check_radius(R: float, allow_zero=False) -> float:
@@ -91,7 +91,7 @@ def first_profile_critical_theta(R: float, n=4000):
     """
     R = _check_radius(R)
     thetas = np.linspace(1e-4, 0.5 * PI - 1e-4, n)
-    vals = np.array([_profile_dz(R, t) for t in thetas])
+    vals = np.array([_profile_fj(R, t)[4] for t in thetas])
     idx = np.where(np.diff(np.sign(vals)) != 0)[0]
     if len(idx) == 0:
         return None

@@ -2,12 +2,13 @@
 
 covering_radius returns the largest circumradius of the six tetrahedra
 that fill the fundamental parallelepiped, validated by quasi-random
-sampling.  That equals the covering radius only when those circumballs are
-empty of lattice points, as on the paper's lattices.  On other lattices it
-over-estimates, and sampling cannot show it: the unit lattice gives
-0.88302565, while sampling covers it at about 0.77.  The module also
-carries the one-parameter hexagonal lattice family and its optimizer, the
-chord-based bound functions, and the symmetric-triangle lower bound.
+sampling.  That equals the covering radius when all six circumballs are
+empty of lattice points (Delaunay cells, as on the paper's lattices);
+otherwise it can over-estimate, and sampling cannot show it: the unit
+lattice gives 0.88302565, while sampling covers it at about 0.77.  The
+module also carries the one-parameter hexagonal lattice family and its
+optimizer, the chord-based bound functions, and the symmetric-triangle
+lower bound.
 """
 
 from __future__ import annotations
@@ -172,7 +173,8 @@ def circumball(p0: Point, p1: Point, p2: Point, p3: Point) -> CircumballResult:
         dmax = 0.0
         for i in range(4):
             for j in range(i + 1, 4):
-                dmax = max(dmax, _distance_and_gradient(pts[i], pts[j])[0])
+                d = _distance_and_gradient(points[i], points[j])[0]
+                dmax = max(dmax, d)
         radii = np.linspace(max(0.5 * dmax, 1e-3), min(2.0 * dmax, TWO_PI), 4)
         found = []
         for cx in np.linspace(lo[0], hi[0], 3):
@@ -379,15 +381,14 @@ def covering_radius(lattice: Lattice) -> float:
     """Largest circumradius of the six domain tetrahedra, validated by
     sampling.
 
-    This is the covering radius, the largest distance from a point of the
-    space to the lattice, only when the six circumballs are empty of
-    lattice points (the tetrahedra are then Delaunay cells, as on the
-    paper's lattices).  On other lattices it over-estimates: the unit
-    lattice gives 0.88302565, while sampling covers it at about 0.77.  The
-    sampling check finds points too far from the lattice, never a radius
-    that is too large.  If it finds an uncovered point (possible when the
-    balls are large enough to be non-convex) the radius is grown by
-    bisection until the check passes.
+    This equals the covering radius, the largest distance from a point of
+    the space to the lattice, when all six circumballs are empty of
+    lattice points (Delaunay cells, as on the paper's lattices); otherwise
+    it can over-estimate: the unit lattice gives 0.88302565, while
+    sampling covers it at about 0.77.  The sampling check finds points too
+    far from the lattice, never a radius that is too large.  If it finds an
+    uncovered point (possible when the balls are large enough to be
+    non-convex) the radius is grown by bisection until the check passes.
     """
     verts = fundamental_domain(lattice).as_dict()
     balls = [circumball(*[verts[label] for label in tet])
@@ -519,6 +520,7 @@ def lower_bound_density(rp: float) -> LowerBoundConfig:
     the consistency constraint solved for the chord angle.  The resulting
     density is a lower bound for every lattice covering with this radius.
     """
+    rp = float(rp)
     if not 0.0 < rp <= 0.5 * PI + 1e-12:
         raise DomainError("trial radius must lie in (0, pi/2]")
 
@@ -527,7 +529,7 @@ def lower_bound_density(rp: float) -> LowerBoundConfig:
         return chord - area2
 
     a, b = 1e-6, 0.5 * PI - 1e-12
-    grid = np.linspace(a, b, 200)
+    grid = np.linspace(a, b, 200).tolist()
     vals = [psi(t) for t in grid]
     roots = []
     for i in range(len(grid) - 1):

@@ -53,37 +53,12 @@ _BRANCH_TOL = 1e-7
 
 
 # ---------------------------------------------------------------------------
-# scalar kernels, series-switched near zero so everything stays smooth
-
-def _sinc(v: float) -> float:
-    if abs(v) < 1e-6:
-        v2 = v * v
-        return 1.0 - v2 / 6.0 + v2 * v2 / 120.0
-    return math.sin(v) / v
-
-
-def _g(u: float) -> float:
-    # (u - sin u) / u^3
-    if abs(u) < 0.1:
-        u2 = u * u
-        return 1.0 / 6 - u2 / 120 + u2 * u2 / 5040 - u2 * u2 * u2 / 362880
-    return (u - math.sin(u)) / (u * u * u)
-
-
-# ---------------------------------------------------------------------------
-# profile of the sphere's shear image and its derivatives
-
-def _profile(R: float, theta: float) -> tuple[float, float]:
-    w = math.sin(theta)
-    c = math.cos(theta)
-    u = w * R
-    X = c * R * _sinc(0.5 * u)
-    Z = w * R + 0.5 * c * c * w * R ** 3 * _g(u)
-    return X, Z
-
+# profile of the sphere's shear image and its derivatives, series-switched
+# near zero so everything stays smooth
 
 def _profile_array(R: float, theta: np.ndarray):
-    """_profile over an array of theta, with the same series switches.
+    """The profile over an array of theta, with _profile_fj's series
+    switches.
 
     Both branches of each switch are evaluated, so the division runs on a
     stand-in denominator of 1 where the series applies.
@@ -110,9 +85,10 @@ def _profile_array(R: float, theta: np.ndarray):
 def _profile_fj(R: float, theta: float):
     """The profile and its partials in one pass.
 
-    Returns (X, Z, dX/dtheta, dX/dR, dZ/dtheta, dZ/dR).  X and Z equal
-    _profile(R, theta) bit for bit.  With v = u/2 the series-switched
-    factors are
+    Returns (X, Z, dX/dtheta, dX/dR, dZ/dtheta, dZ/dR).  With v = u/2 the
+    series-switched factors are
+        sinc(v) = sin(v)/v,
+        g(u) = (u - sin u)/u^3,
         p(u) = (1 - cos u)/u^2,
         q(u) = (2 sin u - u(1 + cos u))/(2 u^3),
         h(v) = (cos v - sinc v)/v^2,
@@ -155,9 +131,9 @@ def _profile_fj(R: float, theta: float):
     return X, Z, dXdt, dXdR, dZdt, dZdR
 
 
-def _profile_dz(R: float, theta: float) -> float:
-    """dZ/dtheta at fixed R; smooth on the closed interval."""
-    return _profile_fj(R, theta)[4]
+def _profile(R: float, theta: float) -> tuple[float, float]:
+    """The profile point (X, Z) alone."""
+    return _profile_fj(R, theta)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +158,12 @@ class GeodesicSolveResult:
 
 
 def geodesic_xyz(alpha: float, theta: float, s: float) -> Point:
-    w = math.sin(theta)
-    c = math.cos(theta)
-    u = w * s
-    r = c * s * _sinc(0.5 * u)
+    r, Z = _profile(s, theta)
+    u = math.sin(theta) * s
     psi = 0.5 * u + alpha
     x = r * math.cos(psi)
     y = r * math.sin(psi)
-    z = w * s + 0.5 * c * c * w * s ** 3 * _g(u) + 0.5 * x * y
-    return (x, y, z)
+    return (x, y, Z + 0.5 * x * y)
 
 
 def geodesic_point(g: GeodesicParams) -> Point:

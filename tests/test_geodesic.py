@@ -213,10 +213,17 @@ def test_known_lattice_distance():
     assert abs(distance_to_origin(t1) - 1.4778892262913008) < 1e-10
 
 
+def _series(x, first):
+    # sum of (-1)^k x^(2k) / (2k + first)!, the Taylor series of
+    # sinc (first = 1) and of (x - sin x)/x^3 (first = 3)
+    return math.fsum((-1) ** k * x ** (2 * k) / math.factorial(2 * k + first)
+                     for k in range(30))
+
+
 def test_profile_fj_matches_profile_and_central_differences():
     # the grid crosses every series switch: theta = 0 and pi/2, the band
     # |u| < 0.1 (theta = 0.01, R = 0.05) and the band |u/2| < 1e-6
-    # (theta = 1e-7)
+    # (theta = 1e-7); X and Z are checked against the full Taylor series
     radii = (1e-3, 0.05, 0.19, 0.2, 0.5, 1.0, 2.0, math.pi, 4.0, 5.5,
              2 * math.pi)
     thetas = (0.0, 1e-7, 1e-3, 0.01, 0.1, 0.5, 1.0, 1.5, math.pi / 2)
@@ -225,7 +232,11 @@ def test_profile_fj_matches_profile_and_central_differences():
     for R in radii:
         for th in thetas:
             X, Z, dXdt, dXdR, dZdt, dZdR = geodesic._profile_fj(R, th)
-            assert (X, Z) == prof(R, th)
+            w, c = math.sin(th), math.cos(th)
+            u = w * R
+            assert X == pytest.approx(c * R * _series(0.5 * u, 1), abs=1e-13)
+            assert Z == pytest.approx(
+                w * R + 0.5 * c * c * w * R ** 3 * _series(u, 3), abs=1e-13)
             (Xtp, Ztp), (Xtm, Ztm) = prof(R, th + h), prof(R, th - h)
             (XRp, ZRp), (XRm, ZRm) = prof(R + h, th), prof(R - h, th)
             assert dXdt == pytest.approx((Xtp - Xtm) / (2 * h), abs=1e-6)
