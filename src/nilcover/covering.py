@@ -75,7 +75,11 @@ class CircumballResult:
 def _newton_circumball(points, v0):
     """Damped Newton on (center, radius) for the four points, given as
     tuples of floats: the distances are solved in Python floats, which is
-    about twice as fast as in numpy scalars and gives the same bits."""
+    about twice as fast as in numpy scalars and gives the same bits.
+
+    Returns (v, F), the last accepted iterate and its residual vector
+    F = distances - radius, or None when the start is out of reach or the
+    Jacobian is singular."""
     v = np.asarray(v0, float)
 
     def FJ(v):
@@ -115,16 +119,16 @@ def _newton_circumball(points, v0):
                 break
             step *= 0.5
             if step < 1e-8:
-                return v, nrm
-    return v, nrm
+                return v, F
+    return v, F
 
 
 def _converged_root(points, v0):
-    """(center, radius) from a circumball Newton run started at v0, or
-    None unless it converged."""
+    """(v, F) of a circumball Newton run started at v0, v = (center,
+    radius), or None unless it converged."""
     out = _newton_circumball(points, v0)
-    if out is not None and out[1] < _RESIDUAL_TOL:
-        return out[0]
+    if out is not None and float(np.linalg.norm(out[1])) < _RESIDUAL_TOL:
+        return out
     return None
 
 
@@ -134,34 +138,42 @@ def circumball(p0: Point, p1: Point, p2: Point, p3: Point) -> CircumballResult:
     Damped Newton on (center, radius), started in up to three stages; the
     first stage that accepts a root wins.
 
-    1. The Euclidean circumcenter, unless the points are coplanar.
-    2. The coordinate mean C of the points, with start radius R2, the
-       largest Nil distance from C to the points.  Its root is accepted only
+    1. The Euclidean circumcenter in the local frame of the points, unless
+       they are coplanar.  The points are left-translated so that their
+       coordinate mean m sits at the origin, where the Nil metric is
+       Euclidean to first order; the circumcenter and the mean distance to
+       the points there are taken as the start, and the center is
+       translated back by m.
+    2. The coordinate mean m of the points, with start radius R2, the
+       largest Nil distance from m to the points.  Its root is accepted only
        if its radius is at most R2: a root past R2 can belong to a larger
        circumball than the smallest one.
     3. A coarse grid of starts over an inflated bounding box; among its
        converged roots the smallest radius wins.
+
+    The residual is the largest |distance - radius| at the accepted root.
     """
     points = [tuple(float(x) for x in p) for p in (p0, p1, p2, p3)]
     pts = [np.asarray(p, float) for p in points]
 
     best = None
-    A = np.array([2.0 * (pts[i] - pts[0]) for i in (1, 2, 3)])
-    b = np.array([pts[i] @ pts[i] - pts[0] @ pts[0] for i in (1, 2, 3)])
+    m = np.mean(pts, axis=0)
+    loc = [np.array(_relative_target(m, q)) for q in pts]
+    A = np.array([2.0 * (loc[i] - loc[0]) for i in (1, 2, 3)])
+    b = np.array([loc[i] @ loc[i] - loc[0] @ loc[0] for i in (1, 2, 3)])
     degenerate = abs(np.linalg.det(A)) < 1e-12
     if not degenerate:
         C = np.linalg.solve(A, b)
-        R0 = float(np.mean([np.linalg.norm(q - C) for q in pts]))
-        best = _converged_root(points, np.array([C[0], C[1], C[2], R0]))
+        R0 = float(np.mean([np.linalg.norm(q - C) for q in loc]))
+        best = _converged_root(points, np.array([*translate(C, m), R0]))
     if best is None:
-        C = np.mean(pts, axis=0)
         try:
-            R2 = max(distance_to_origin(_relative_target(C, q)) for q in pts)
+            R2 = max(distance_to_origin(q) for q in loc)
         except NoSolutionError:
-            pass  # a point lies beyond 2*pi of C: no restart from there
+            pass  # a point lies beyond 2*pi of m: no restart from there
         else:
-            root = _converged_root(points, np.array([C[0], C[1], C[2], R2]))
-            if root is not None and root[3] <= R2:
+            root = _converged_root(points, np.array([*m, R2]))
+            if root is not None and root[0][3] <= R2:
                 best = root
     if best is None:
         # grid fallback: centers can sit outside the point cloud, so the
@@ -185,18 +197,17 @@ def circumball(p0: Point, p1: Point, p2: Point, p3: Point) -> CircumballResult:
                         if root is not None:
                             found.append(root)
         if found:
-            best = min(found, key=lambda v: v[3])
+            best = min(found, key=lambda root: root[0][3])
     if best is None:
         if degenerate:
             raise DegenerateGeometryError(
                 "points are coplanar; circumball system is singular")
         raise NoSolutionError("no circumscribed ball of radius <= 2*pi found")
 
-    center = (float(best[0]), float(best[1]), float(best[2]))
-    radius = float(best[3])
-    dists = [_distance_and_gradient(center, q)[0] for q in points]
-    residual = max(abs(d - radius) for d in dists)
-    return CircumballResult(center=center, radius=radius, residual=residual)
+    v, F = best
+    return CircumballResult(center=(float(v[0]), float(v[1]), float(v[2])),
+                            radius=float(v[3]),
+                            residual=float(np.max(np.abs(F))))
 
 
 @dataclass(frozen=True)
@@ -263,8 +274,11 @@ def verify_covering(lattice: Lattice, R: float,
 
     Samples map a Halton sequence linearly onto the domain parallelepiped,
     which samples the volume uniformly.  A sample counts as covered when it
-    lies within R of one of the shell-2 lattice points; a fast sheared
-    profile-table test settles the bulk and exact distances settle the
+    lies within R of one of the shell-2 lattice points.  A fast sheared
+    profile-table test settles the bulk.  It reads the ball's profile from
+    a uniform zeta grid in constant time per point, lowered past the
+    resampling error, so it never accepts a sample that the tabulated
+    profile lowered by a 1e-6 margin rejects.  Exact distances settle the
     boundary stragglers; the circumcenters of the domain tetrahedra are
     probed first.
 
@@ -278,26 +292,66 @@ def verify_covering(lattice: Lattice, R: float,
     return _sample_check(lattice, R, n_samples, _circumcenter_probes(lattice))
 
 
+# cells of the uniform zeta grid the profile table is resampled onto, and
+# the rounding allowance of a lookup, relative to R
+_TABLE_CELLS = 4096
+_ROUNDING = 16 * np.finfo(float).eps
+
+
+def _table_limit(R: float, margin: float):
+    """The horizontal reach of the R ball, lowered by at least margin, as a
+    function of zs = |zeta| in [0, R]: the limit of the table test.
+
+    Needs the profile at R to be monotone: R <= pi.  The profile, tabulated
+    at 4001 pitches theta, is a polyline (Z_j, X_j) in the (zeta, rho)
+    half-plane.  It is resampled once onto a uniform grid of _TABLE_CELLS
+    cells over [0, R], so a point's cell is found by one multiplication
+    instead of a binary search.  The resampled polyline minus the theta
+    polyline is piecewise linear and 0 at the grid knots, so its largest
+    value dev is taken at some Z_j.  The grid is lowered by dev + margin
+    plus a rounding allowance of a few ulps of R, so the limit never
+    exceeds the theta polyline lowered by margin: the test never accepts a
+    point that a lookup in the theta table would reject.
+    """
+    X, Z = _profile_array(R, np.linspace(0.0, 0.5 * PI, 4001))
+    scale = _TABLE_CELLS / R
+
+    def lookup(table, steps, zs):
+        t = zs * scale
+        i = np.minimum(t.astype(np.intp), _TABLE_CELLS - 1)
+        return table[i] + (t - i) * steps[i]
+
+    Xg = np.interp(np.linspace(0.0, R, _TABLE_CELLS + 1), Z, X)
+    dev = max(float(np.max(lookup(Xg, np.diff(Xg), Z) - X)), 0.0)
+    low = Xg - (dev + margin + _ROUNDING * R)
+    steps = np.diff(low)
+    return lambda zs: lookup(low, steps, zs)
+
+
 def _table_survivors(sx, sy, sz, inv_words, R: float,
                      margin: float) -> np.ndarray:
     """Indices of the points (coordinate arrays sx, sy, sz) that a sheared
     profile-table test cannot place within R - margin of a shell word.
 
-    The table test needs the profile at R to be monotone: R <= pi.  The
-    profile never reaches past X = R, so only points with rho <= R - margin
-    and zs <= R can pass it, and the table is read for those alone.
+    A point passes when its horizontal distance rho to a word is within
+    _table_limit at its |zeta|; distances are compared squared, and the
+    limit must be nonnegative.  The profile never reaches past X = R, so
+    only points with rho <= R - margin and |zeta| <= R can pass, and the
+    table is read for those alone.
     """
-    X, Z = _profile_array(R, np.linspace(0.0, 0.5 * PI, 4001))
+    limit = _table_limit(R, margin)
+    cut2 = (R - margin) ** 2
     alive = np.arange(len(sx))
     for winv in zip(*inv_words):
         if len(alive) == 0:
             break
         lx, ly, lz = translate((sx[alive], sy[alive], sz[alive]), winv)
-        rho = np.hypot(lx, ly)
+        rho2 = lx * lx + ly * ly
         zs = np.abs(lz - 0.5 * lx * ly)
-        near = np.flatnonzero((zs <= R) & (rho <= R - margin))
+        near = np.flatnonzero((zs <= R) & (rho2 <= cut2))
+        lim = limit(zs[near])
         ok = np.zeros(len(alive), bool)
-        ok[near] = rho[near] <= np.interp(zs[near], Z, X) - margin
+        ok[near] = (lim >= 0.0) & (rho2[near] <= lim * lim)
         alive = alive[~ok]
     return alive
 

@@ -196,6 +196,18 @@ def test_table_survivors_match_unfiltered_reference():
             assert np.array_equal(got, want)
 
 
+def test_table_limit_below_theta_table():
+    # the uniform-grid lookup, lowered past its resampling error, never
+    # exceeds the theta-table lookup lowered by the margin, at the table's
+    # breakpoints Z_j and on a dense zeta grid in between
+    margin = 1e-6
+    for R in (1e-3, 0.19, 0.2, 0.9, math.pi):
+        X, Z = geodesic._profile_array(R, np.linspace(0.0, 0.5 * math.pi, 4001))
+        zs = np.concatenate([np.linspace(0.0, R, 200001), Z[Z <= R]])
+        lim = covering._table_limit(R, margin)(zs)
+        assert np.all(lim <= np.interp(zs, Z, X) - margin)
+
+
 def test_halton_points_shared_read_only():
     pts = covering._unit_halton(2000)
     assert not pts.flags.writeable
@@ -291,9 +303,12 @@ def _normal_form(t11, a, b, k):
 
 
 def test_no_multistart_sweeps_out_of_2pi_reach(monkeypatch):
-    # a line-search trial centre of this seeded normal-form lattice lies
-    # at rho = 6.03, |zeta| = 4.79: inside the cheap reach bounds, outside
-    # the 2*pi ball; the exact reach test rejects it without a sweep
+    # from a Euclidean start in global coordinates, a line-search trial
+    # centre of this seeded normal-form lattice lay at rho = 6.03,
+    # |zeta| = 4.79: inside the cheap reach bounds, outside the 2*pi ball.
+    # The local-frame start does not try it (test_geodesic's
+    # test_reach_test_rejects_before_sweeping pins that target); no
+    # sweep may run either way
     sweeps = _count_calls(monkeypatch, "_all_profile_roots", module=geodesic)
     basis = LatticeBasis((1.3583922569872162, 0, 0.7919083901351797),
                          (0.17242402546769206, 1.1659495054713527,
@@ -303,8 +318,9 @@ def test_no_multistart_sweeps_out_of_2pi_reach(monkeypatch):
 
 
 def test_circumball_centroid_restart(monkeypatch):
-    # one domain tetrahedron of each lattice fails its Euclidean start; the
-    # centroid start solves it, so no circumball reaches the grid
+    # the local-frame start solves every domain tetrahedron of these
+    # lattices in one Newton run; a Euclidean start in global coordinates
+    # fails on one tetrahedron of each
     sweeps = _count_calls(monkeypatch, "_all_profile_roots", module=geodesic)
     newtons = _count_calls(monkeypatch, "_newton_circumball")
     per_ball = []
@@ -322,10 +338,28 @@ def test_circumball_centroid_restart(monkeypatch):
         per_ball.clear()
         rep = covering_density(lattice_from_params(basis))
         assert abs(rep.covering_radius - R) < 1e-7
-        assert len(per_ball) == 6
-        assert 2 in per_ball
-        assert max(per_ball) <= 2
+        assert per_ball == [1] * 6
+    # the corner tetrahedron of this lattice fails its local-frame start;
+    # the centroid start solves it, so it does not reach the grid
+    newtons.clear()
+    res = real(*corner_tet(LatticeBasis(
+        (2.1456340601001993, 0.0, 1.2194587210000505),
+        (3.185789232039064, 1.1366884443874858, 3.030083624156494), 3)))
+    assert len(newtons) == 2
+    assert abs(res.radius - 1.88874823) < 1e-7
+    assert res.residual <= 1e-8
     assert sweeps == []
+
+
+def test_circumball_newton_evaluations_on_opt(monkeypatch):
+    # the local-frame start reaches each of OPT's six circumballs in a few
+    # Newton evaluations of four distances each; a Euclidean start in
+    # global coordinates takes 17 and 20 on two of them
+    evals = _count_calls(monkeypatch, "_distance_and_gradient")
+    for tet in domain_tetrahedra(lattice_from_params(OPT)):
+        evals.clear()
+        assert abs(circumball(*tet).radius - 0.90293941) < 1e-6
+        assert len(evals) <= 4 * 6
 
 
 def test_circumball_restart_guard():
