@@ -29,9 +29,12 @@ def _point(text: str):
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected x,y,z, got %r" % text)
     try:
-        return tuple(float(v) for v in parts)
+        point = tuple(float(v) for v in parts)
     except ValueError:
         raise argparse.ArgumentTypeError("non-numeric coordinate in %r" % text)
+    if not all(math.isfinite(v) for v in point):
+        raise argparse.ArgumentTypeError("non-finite coordinate in %r" % text)
+    return point
 
 
 def _fmt(x: float) -> str:

@@ -25,11 +25,16 @@ so any root of the profile system with s <= 2*pi belongs to a minimizing
 geodesic and is the distance.  The solver accepts only such roots; a point
 farther than 2*pi from the origin raises NoSolutionError.
 
-The reach rule is exact.  X(2*pi, theta) falls strictly from 2*pi to 0 on
-[0, pi/2], so the 2*pi sphere's profile is a graph over rho: with theta*
-the root of X(2*pi, theta*) = rho, the closed 2*pi ball is the set of
-(rho, zeta) with rho <= 2*pi and |zeta| <= Z(2*pi, theta*).  A target
-outside it (past a 1e-9 margin) has no root with s <= 2*pi.
+The section rule is exact.  For s <= 2*pi, X(s, theta) = c*s*sinc(w*s/2)
+is a product of two nonnegative factors that fall in theta while
+w*s/2 <= pi, so it falls strictly from s to 0 on [0, pi/2]: the s-sphere's
+profile is a graph over rho, at the pitch theta_s(rho) with
+X(s, theta_s) = rho.  Balls grow with s and every point of the s-sphere
+lies at distance exactly s, so the section of the closed s-ball at rho,
+|zeta| <= Z(s, theta_s(rho)), grows strictly in s from zeta = 0 at s = rho.
+The distance to (rho, zeta) is therefore the one root of
+Z(s, theta_s(rho)) = |zeta| on [rho, 2*pi], and a target above the 2*pi
+ball's section (past a 1e-9 margin) has no root with s <= 2*pi.
 """
 
 from __future__ import annotations
@@ -48,8 +53,6 @@ TWO_PI = 2.0 * math.pi
 
 # Newton acceptance threshold for the profile system residual
 _ROOT_TOL = 1e-10
-# dedup tolerance for distinct (theta, s) roots
-_BRANCH_TOL = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -212,22 +215,6 @@ def _newton_profile(rho, zeta, th0, R0, itmax=60):
     return None
 
 
-def _all_profile_roots(rho, zeta):
-    """Multistart sweep: every distinct (theta, s) with the target profile."""
-    roots = []
-    for i in range(1, 18):
-        th0 = 0.5 * PI * i / 17.0
-        for R0 in (0.3, 0.8, 1.5, 2.4, 3.2, 4.2, 5.2, 6.28):
-            sol = _newton_profile(rho, zeta, th0, R0)
-            if sol is None:
-                continue
-            if not any(abs(sol[0] - r[0]) < _BRANCH_TOL
-                       and abs(sol[1] - r[1]) < _BRANCH_TOL for r in roots):
-                roots.append(sol)
-    roots.sort(key=lambda r: (r[1], r[0]))
-    return roots
-
-
 def _relative_target(p1: Point, p2: Point) -> Point:
     """p2 in the frame where p1 sits at the origin."""
     return translate(p2, inverse(p1))
@@ -240,37 +227,45 @@ def _reduced(target: Point):
     return rho, zeta
 
 
-def _check_reach(rho, zs):
-    """Raise NoSolutionError unless (rho, zs) lies in the closed 2*pi ball.
+def _bracket_profile(rho, zs):
+    """The root (theta, s) for a target off the axis and the equator.
 
-    Exact (see the module docstring): the 2*pi sphere's profile height at
-    rho is Z(2*pi, theta*) with X(2*pi, theta*) = rho, theta* on [0, pi/2].
+    Nested brentq on the section rule of the module docstring: the inner
+    one finds the pitch theta_s(rho) on [0, pi/2], the outer one the s in
+    [rho, 2*pi] whose section height Z(s, theta_s(rho)) is zs.  The outer
+    one's first evaluation, at s = 2*pi, is the exact reach test.
     """
-    if rho >= TWO_PI:
-        theta = 0.0
-    else:
-        theta = brentq(lambda t: _profile(TWO_PI, t)[0] - rho,
-                       0.0, 0.5 * PI, xtol=1e-15)
-    if zs > _profile(TWO_PI, theta)[1] + 1e-9:
+    def pitch(s):
+        if rho >= s:  # the section at rho is at most the point zeta = 0
+            return 0.0
+        return brentq(lambda t: _profile(s, t)[0] - rho, 0.0, 0.5 * PI,
+                      xtol=1e-15)
+
+    def excess(s):
+        return _profile(s, pitch(s))[1] - zs
+
+    top = excess(TWO_PI)
+    if top < -1e-9:
         raise NoSolutionError("(rho=%g, |zeta|=%g) lies outside the 2*pi ball"
                               % (rho, zs))
+    s = TWO_PI if top <= 0.0 else brentq(excess, rho, TWO_PI, xtol=1e-15)
+    return pitch(s), s
 
 
 def _invert_profile(rho, zeta):
     """The minimizing root (theta, s) for the sheared target (rho, zeta).
 
     The root solves the profile system for |zeta|, so theta >= 0; callers
-    sign it.  The reach rule has a cheap and an exact form.  The distance
-    is at least rho, and the longest vertical chord of the 2*pi ball is
-    5*pi, so a target with rho > 2*pi or |zeta| > 5*pi/2 is rejected at
-    once.  A root with s <= 2*pi is minimizing (see the module docstring):
-    the single Newton run is accepted whenever it finds one.  When it does
-    not, the exact test rejects a target with |zeta| > Z(2*pi, theta*) + 1e-9,
-    where X(2*pi, theta*) = rho, and the multistart sweep runs only for
-    targets inside the 2*pi ball.
+    sign it.  The distance is at least rho, and the longest vertical chord
+    of the 2*pi ball is 5*pi, so a target with rho > 2*pi or
+    |zeta| > 5*pi/2, or a non-finite one, is rejected at once.  The axis
+    and the equator have closed forms.  Elsewhere a root with s <= 2*pi is
+    minimizing (see the module docstring), so the single Newton run is
+    accepted whenever it finds one; when it does not, _bracket_profile
+    finds the root or rejects a target outside the 2*pi ball.
     """
     zs = abs(zeta)
-    if rho > TWO_PI + 1e-9 or zs > 2.5 * PI + 1e-9:
+    if not (rho <= TWO_PI + 1e-9 and zs <= 2.5 * PI + 1e-9):
         raise NoSolutionError("(rho=%g, |zeta|=%g) lies beyond geodesic reach"
                               % (rho, zs))
     if rho < 1e-14:
@@ -284,10 +279,8 @@ def _invert_profile(rho, zeta):
         root = _newton_profile(rho, zs, min(th0, 0.5 * PI * 0.999),
                                min(R0, TWO_PI))
         if root is None or root[1] > TWO_PI + 1e-9:
-            _check_reach(rho, zs)
-            roots = _all_profile_roots(rho, zs)
-            root = roots[0] if roots else None
-    if root is None or root[1] > TWO_PI + 1e-9:
+            root = _bracket_profile(rho, zs)
+    if root[1] > TWO_PI + 1e-9:
         raise NoSolutionError("no geodesic of length <= 2*pi reaches "
                               "(rho=%g, |zeta|=%g)" % (rho, zs))
     return root

@@ -42,6 +42,8 @@ class LatticeBasis:
             raise DomainError("generators must be coordinate triples")
         object.__setattr__(self, "t1", tuple(float(v) for v in self.t1))
         object.__setattr__(self, "t2", tuple(float(v) for v in self.t2))
+        if not all(math.isfinite(v) for v in self.t1 + self.t2):
+            raise DomainError("generator components must be finite")
         if int(self.k) != self.k or self.k < 1:
             raise DomainError("k must be a positive integer")
         object.__setattr__(self, "k", int(self.k))

@@ -234,6 +234,10 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["distance", "--from", "0,0", "--to", "1,0,0"])
     assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["distance", "--from", "0,0,0", "--to", "nan,0,0"])
+    assert exc.value.code == 1
+    assert "non-finite coordinate" in capsys.readouterr().err
 
 
 def test_domain_error_exit_two(capsys):
@@ -243,6 +247,10 @@ def test_domain_error_exit_two(capsys):
     code, _, err = run_cli(capsys, "lattice", "volume", "--lattice",
                            "1,0,0,2,0,0")
     assert code == 2
+    for action in (("lattice", "volume"), ("covering", "density")):
+        code, _, err = run_cli(capsys, *action, "--lattice", "nan,0,0,0,1,0")
+        assert code == 2
+        assert "must be finite" in err
 
 
 def test_no_solution_exit_three(capsys):

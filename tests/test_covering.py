@@ -246,12 +246,22 @@ def _count_calls(monkeypatch, name, wrap=lambda res: res, module=covering):
     calls = []
     real = getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return wrap(real(*args))
+        return wrap(real(*args, **kwargs))
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _count_fallback_roots(monkeypatch):
+    # profile solves the single Newton run missed that found a root (each
+    # one was a multistart sweep before the bracketed fallback); a reach
+    # rejection raises and is not counted
+    roots = []
+    _count_calls(monkeypatch, "_bracket_profile",
+                 lambda root: roots.append(root) or root, module=geodesic)
+    return roots
 
 
 def test_covering_density_one_covering_pass(monkeypatch):
@@ -277,18 +287,9 @@ def test_covering_radius_bisection(monkeypatch, caplog):
 
 
 def test_no_multistart_sweeps_on_paper_lattices(monkeypatch):
-    # circumball line searches try centres out of geodesic reach; the
-    # reach test must reject them without a multistart sweep
-    sweep = geodesic._all_profile_roots
-    sweeps = []
-
-    def counted(*args):
-        sweeps.append(args)
-        return sweep(*args)
-
-    for module in (geodesic, covering):
-        if getattr(module, "_all_profile_roots", None) is sweep:
-            monkeypatch.setattr(module, "_all_profile_roots", counted)
+    # circumball line searches try centres out of geodesic reach; every
+    # distance on these lattices is a Newton root or a reach rejection
+    sweeps = _count_fallback_roots(monkeypatch)
     covering_density(lattice_from_params(OPT))
     assert sweeps == []
     optimize_hex()
@@ -308,8 +309,8 @@ def test_no_multistart_sweeps_out_of_2pi_reach(monkeypatch):
     # |zeta| = 4.79: inside the cheap reach bounds, outside the 2*pi ball.
     # The local-frame start does not try it (test_geodesic's
     # test_reach_test_rejects_before_sweeping pins that target); no
-    # sweep may run either way
-    sweeps = _count_calls(monkeypatch, "_all_profile_roots", module=geodesic)
+    # fallback may find a root either way
+    sweeps = _count_fallback_roots(monkeypatch)
     basis = LatticeBasis((1.3583922569872162, 0, 0.7919083901351797),
                          (0.17242402546769206, 1.1659495054713527,
                           0.8924272437478974), k=2)
@@ -321,7 +322,7 @@ def test_circumball_centroid_restart(monkeypatch):
     # the local-frame start solves every domain tetrahedron of these
     # lattices in one Newton run; a Euclidean start in global coordinates
     # fails on one tetrahedron of each
-    sweeps = _count_calls(monkeypatch, "_all_profile_roots", module=geodesic)
+    sweeps = _count_fallback_roots(monkeypatch)
     newtons = _count_calls(monkeypatch, "_newton_circumball")
     per_ball = []
     real = covering.circumball
@@ -340,7 +341,9 @@ def test_circumball_centroid_restart(monkeypatch):
         assert abs(rep.covering_radius - R) < 1e-7
         assert per_ball == [1] * 6
     # the corner tetrahedron of this lattice fails its local-frame start;
-    # the centroid start solves it, so it does not reach the grid
+    # the centroid start solves it, so it does not reach the grid (its
+    # line searches try four centres outside the 2*pi ball, which the
+    # fallback rejects)
     newtons.clear()
     res = real(*corner_tet(LatticeBasis(
         (2.1456340601001993, 0.0, 1.2194587210000505),

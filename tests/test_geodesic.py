@@ -4,11 +4,22 @@ import math
 import random
 
 import pytest
+from scipy.optimize import brentq
 
 from nilcover import geodesic
 from nilcover import (NoSolutionError, distance, distance_to_origin,
                       geodesic_between, geodesic_xyz, line_reflect_y,
                       rotate_z, translate)
+from test_covering import _count_calls
+
+# rho > 2*pi, or |zeta| > 5*pi/2 (half the longest vertical chord of the
+# 2*pi ball), or a non-finite coordinate puts a point beyond geodesic reach
+# at once; (6.033, 0, 4.789) passes those bounds but lies above the 2*pi
+# ball's section at its rho
+FAR_POINTS = [(7.0, 0.0, 0.0), (6.35, 0.0, 0.0), (6.3, 0.2, 0.4),
+              (1.0, 0.0, 8.0), (6.033, 0.0, 4.789), (math.nan, 0.0, 0.0),
+              (0.0, 0.0, math.nan), (math.inf, 0.0, 0.0),
+              (0.0, 0.0, -math.inf)]
 
 
 def rand_point(rng, scale=1.5):
@@ -142,11 +153,8 @@ def test_on_axis_distance():
 
 
 def test_far_points_rejected():
-    # rho > 2*pi, or |zeta| > 5*pi/2 (half the longest vertical chord of
-    # the 2*pi ball), puts a point beyond geodesic reach
     origin = (0.0, 0.0, 0.0)
-    for p in [(7.0, 0.0, 0.0), (6.35, 0.0, 0.0), (6.3, 0.2, 0.4),
-              (1.0, 0.0, 8.0)]:
+    for p in FAR_POINTS:
         with pytest.raises(NoSolutionError):
             distance_to_origin(p)
         with pytest.raises(NoSolutionError):
@@ -155,21 +163,10 @@ def test_far_points_rejected():
             geodesic_between(origin, p)
 
 
-def _count_sweeps(monkeypatch):
-    sweeps = []
-    sweep = geodesic._all_profile_roots
-
-    def counted(*args):
-        sweeps.append(args)
-        return sweep(*args)
-
-    monkeypatch.setattr(geodesic, "_all_profile_roots", counted)
-    return sweeps
-
-
 def test_reach_test_keeps_every_point_within_2pi():
-    # soundness: no endpoint of a geodesic of length <= 2*pi is rejected,
-    # every tenth one on the 2*pi sphere itself
+    # soundness: the fallback's reach test (its first evaluation, at
+    # s = 2*pi) rejects no endpoint of a geodesic of length <= 2*pi, every
+    # tenth one on the 2*pi sphere itself
     rng = random.Random(47)
     rejected = []
     for i in range(2000):
@@ -178,7 +175,7 @@ def test_reach_test_keeps_every_point_within_2pi():
         rho, zeta = geodesic._reduced(
             geodesic_xyz(rng.uniform(-math.pi, math.pi), th, s))
         try:
-            geodesic._check_reach(rho, abs(zeta))
+            geodesic._bracket_profile(rho, abs(zeta))
         except NoSolutionError:
             rejected.append((th, s))
     assert rejected == []
@@ -188,13 +185,58 @@ def test_reach_test_rejects_before_sweeping(monkeypatch):
     # sharpness: a circumball trial centre from a seeded normal-form
     # lattice passes the cheap bounds (rho <= 2*pi, |zeta| <= 5*pi/2), but
     # its only root has s = 6.48 > 2*pi; the 2*pi ball reaches only
-    # |zeta| = 3.54 at this rho
-    sweeps = _count_sweeps(monkeypatch)
-    with pytest.raises(NoSolutionError):
-        geodesic._invert_profile(6.033, 4.789)
-    with pytest.raises(NoSolutionError):
-        geodesic._invert_profile(6.033, -4.789)
-    assert sweeps == []
+    # |zeta| = 3.54 at this rho, so the fallback rejects it after the
+    # pitch solve at s = 2*pi, before its outer solve starts
+    solves = _count_calls(monkeypatch, "brentq", module=geodesic)
+    for zeta in (4.789, -4.789):
+        solves.clear()
+        with pytest.raises(NoSolutionError):
+            geodesic._invert_profile(6.033, zeta)
+        assert len(solves) == 1
+
+
+def test_bracketed_fallback_alone(monkeypatch):
+    # with the Newton fast path off, every solve off the axis and the
+    # equator runs the bracketed fallback: it recovers the arc length of
+    # geodesic endpoints (every tenth on the 2*pi sphere), rejects what
+    # lies out of reach, and takes a bounded number of profile evaluations
+    monkeypatch.setattr(geodesic, "_newton_profile", lambda *args: None)
+    evals = _count_calls(monkeypatch, "_profile_fj", module=geodesic)
+    rng = random.Random(53)
+    for i in range(300):
+        th = rng.uniform(-0.5 * math.pi, 0.5 * math.pi)
+        s = 2 * math.pi if i % 10 == 0 else rng.uniform(0.0, 2 * math.pi)
+        p = geodesic_xyz(rng.uniform(-math.pi, math.pi), th, s)
+        evals.clear()
+        assert abs(distance_to_origin(p) - s) < 1e-12
+        assert len(evals) <= 400
+        assert geodesic_between((0.0, 0.0, 0.0), p).residual < 1e-8
+    for p in FAR_POINTS:
+        evals.clear()
+        with pytest.raises(NoSolutionError):
+            distance_to_origin(p)
+        assert len(evals) <= 400
+
+
+def test_bracket_facts():
+    # the facts the fallback rests on, for s <= 2*pi: X(s, .) does not
+    # rise on [0, pi/2], and the height of the s-ball's section at rho,
+    # Z(s, theta_s) with X(s, theta_s) = rho, rises in s on [rho, 2*pi]
+    rng = random.Random(59)
+    prof = geodesic._profile
+    for i in range(100):
+        s = 2 * math.pi if i % 10 == 0 else rng.uniform(0.0, 2 * math.pi)
+        X = [prof(s, 0.5 * math.pi * j / 200)[0] for j in range(201)]
+        assert all(b <= a for a, b in zip(X, X[1:]))
+    for _ in range(100):
+        rho = rng.uniform(0.0, 2 * math.pi)
+        heights = []
+        for j in range(41):
+            s = rho + (2 * math.pi - rho) * j / 40
+            th = 0.0 if j == 0 else brentq(lambda t: prof(s, t)[0] - rho,
+                                           0.0, 0.5 * math.pi, xtol=1e-15)
+            heights.append(prof(s, th)[1])
+        assert all(b > a for a, b in zip(heights, heights[1:]))
 
 
 def test_in_plane_distance_is_euclidean():
