@@ -27,8 +27,7 @@ from .core import Point, inverse, translate
 from .errors import (DegenerateGeometryError, DomainError, NilcoverError,
                      NoSolutionError)
 from .geodesic import (PI, TWO_PI, _invert_profile, _profile, _profile_array,
-                       _profile_fj, _reduced, _relative_target,
-                       distance_to_origin)
+                       _reduced, _relative_target, distance_to_origin)
 from .lattice import (DOMAIN_TETRAHEDRA, Lattice, LatticeBasis, _shell_words,
                       domain_volume, fundamental_domain, lattice_from_params)
 
@@ -48,8 +47,7 @@ def _distance_and_gradient(c, p):
     qx, qy, qz = _relative_target(c, p)
     rho, zeta = _reduced((qx, qy, qz))
     sg = 1.0 if zeta >= 0 else -1.0
-    th, R = _invert_profile(rho, zeta)
-    _, _, dXdt, dXdR, dZdt, dZdR = _profile_fj(R, th)
+    th, R, (_, _, dXdt, dXdR, dZdt, dZdR) = _invert_profile(rho, zeta)
     det = dXdt * dZdR - dXdR * dZdt
     if det == 0.0:
         # c = p: the distance has no gradient there
@@ -72,50 +70,81 @@ class CircumballResult:
     residual: float
 
 
+def _solve(A, b):
+    """x with A x = b, for a small square system given as lists of floats:
+    Gaussian elimination with partial pivoting.  None when a pivot is
+    exactly 0, where np.linalg.solve raises LinAlgError."""
+    n = len(b)
+    rows = [[*row, bi] for row, bi in zip(A, b)]
+    for k in range(n):
+        piv, big = k, abs(rows[k][k])
+        for i in range(k + 1, n):
+            if abs(rows[i][k]) > big:
+                piv, big = i, abs(rows[i][k])
+        if big == 0.0:
+            return None
+        top = rows[piv]
+        rows[piv], rows[k] = rows[k], top
+        for row in rows[k + 1:]:
+            f = row[k] / top[k]
+            for j in range(k + 1, n + 1):
+                row[j] -= f * top[j]
+    x = [0.0] * n
+    for k in reversed(range(n)):
+        row = rows[k]
+        s = row[n]
+        for j in range(k + 1, n):
+            s -= row[j] * x[j]
+        x[k] = s / row[k]
+    return x
+
+
+def _det3(A) -> float:
+    (a, b, c), (d, e, f), (g, h, i) = A
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def _newton_circumball(points, v0):
-    """Damped Newton on (center, radius) for the four points, given as
-    tuples of floats: the distances are solved in Python floats, which is
-    about twice as fast as in numpy scalars and gives the same bits.
+    """Damped Newton on v = (center, radius) for the four points, given as
+    tuples of floats.  It runs on Python floats alone: building numpy
+    arrays for the 4x4 step costs more than solving it.
 
     Returns (v, F), the last accepted iterate and its residual vector
     F = distances - radius, or None when the start is out of reach or the
     Jacobian is singular."""
-    v = np.asarray(v0, float)
+    v = [float(x) for x in v0]
 
     def FJ(v):
-        F = np.empty(4)
-        J = np.zeros((4, 4))
-        center = v[:3].tolist()
-        for i, q in enumerate(points):
+        F, J = [], []
+        center = v[:3]
+        for q in points:
             d, g = _distance_and_gradient(center, q)
-            F[i] = d - v[3]
-            J[i, :3] = g
-            J[i, 3] = -1.0
+            F.append(d - v[3])
+            J.append([*g, -1.0])
         return F, J
 
     try:
         F, J = FJ(v)
     except NoSolutionError:
         return None
-    nrm = float(np.linalg.norm(F))
+    nrm = math.hypot(*F)
     for _ in range(80):
         if nrm < 1e-12:
             break
-        try:
-            dv = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
+        dv = _solve(J, [-f for f in F])
+        if dv is None:
             return None
         step = 1.0
         while True:
-            vn = v + step * dv
+            vn = [a + step * d for a, d in zip(v, dv)]
             vn[3] = min(max(vn[3], 1e-6), TWO_PI)
             try:
                 Fn, Jn = FJ(vn)
+                n_n = math.hypot(*Fn)
             except NoSolutionError:
-                Fn = None
-            if Fn is not None and np.linalg.norm(Fn) < nrm:
-                v, F, J = vn, Fn, Jn
-                nrm = float(np.linalg.norm(F))
+                n_n = math.inf
+            if n_n < nrm:
+                v, F, J, nrm = vn, Fn, Jn, n_n
                 break
             step *= 0.5
             if step < 1e-8:
@@ -127,7 +156,7 @@ def _converged_root(points, v0):
     """(v, F) of a circumball Newton run started at v0, v = (center,
     radius), or None unless it converged."""
     out = _newton_circumball(points, v0)
-    if out is not None and float(np.linalg.norm(out[1])) < _RESIDUAL_TOL:
+    if out is not None and math.hypot(*out[1]) < _RESIDUAL_TOL:
         return out
     return None
 
@@ -154,30 +183,31 @@ def circumball(p0: Point, p1: Point, p2: Point, p3: Point) -> CircumballResult:
     The residual is the largest |distance - radius| at the accepted root.
     """
     points = [tuple(float(x) for x in p) for p in (p0, p1, p2, p3)]
-    pts = [np.asarray(p, float) for p in points]
 
     best = None
-    m = np.mean(pts, axis=0)
-    loc = [np.array(_relative_target(m, q)) for q in pts]
-    A = np.array([2.0 * (loc[i] - loc[0]) for i in (1, 2, 3)])
-    b = np.array([loc[i] @ loc[i] - loc[0] @ loc[0] for i in (1, 2, 3)])
-    degenerate = abs(np.linalg.det(A)) < 1e-12
-    if not degenerate:
-        C = np.linalg.solve(A, b)
-        R0 = float(np.mean([np.linalg.norm(q - C) for q in loc]))
-        best = _converged_root(points, np.array([*translate(C, m), R0]))
+    m = tuple(sum(p[i] for p in points) / 4.0 for i in range(3))
+    loc = [_relative_target(m, q) for q in points]
+    o = loc[0]
+    A = [[2.0 * (q[i] - o[i]) for i in range(3)] for q in loc[1:]]
+    b = [sum(x * x for x in q) - sum(x * x for x in o) for q in loc[1:]]
+    degenerate = abs(_det3(A)) < 1e-12
+    C = None if degenerate else _solve(A, b)
+    if C is not None:
+        R0 = sum(math.dist(q, C) for q in loc) / 4.0
+        best = _converged_root(points, [*translate(C, m), R0])
     if best is None:
         try:
             R2 = max(distance_to_origin(q) for q in loc)
         except NoSolutionError:
             pass  # a point lies beyond 2*pi of m: no restart from there
         else:
-            root = _converged_root(points, np.array([*m, R2]))
+            root = _converged_root(points, [*m, R2])
             if root is not None and root[0][3] <= R2:
                 best = root
     if best is None:
         # grid fallback: centers can sit outside the point cloud, so the
         # bounding box is inflated by half its diagonal
+        pts = np.array(points)
         lo = np.min(pts, axis=0)
         hi = np.max(pts, axis=0)
         pad = 0.5 * float(np.linalg.norm(hi - lo))
@@ -205,9 +235,8 @@ def circumball(p0: Point, p1: Point, p2: Point, p3: Point) -> CircumballResult:
         raise NoSolutionError("no circumscribed ball of radius <= 2*pi found")
 
     v, F = best
-    return CircumballResult(center=(float(v[0]), float(v[1]), float(v[2])),
-                            radius=float(v[3]),
-                            residual=float(np.max(np.abs(F))))
+    return CircumballResult(center=tuple(v[:3]), radius=v[3],
+                            residual=max(abs(x) for x in F))
 
 
 @dataclass(frozen=True)
@@ -278,9 +307,12 @@ def verify_covering(lattice: Lattice, R: float,
     profile-table test settles the bulk.  It reads the ball's profile from
     a uniform zeta grid in constant time per point, lowered past the
     resampling error, so it never accepts a sample that the tabulated
-    profile lowered by a 1e-6 margin rejects.  Exact distances settle the
-    boundary stragglers; the circumcenters of the domain tetrahedra are
-    probed first.
+    profile lowered by a 1e-6 margin rejects.  Each sample is tested
+    against the lattice points at the corners of the domain box first,
+    nearest first, and only then against the other shell points, nearest
+    to the box center first; the order changes no result.  Exact distances
+    settle the boundary stragglers; the circumcenters of the domain
+    tetrahedra are probed first.
 
     When a sample is uncovered, returns the worst uncovered sample (or
     probe) as witness, with its exact distance to the shell lattice points.
@@ -328,8 +360,8 @@ def _table_limit(R: float, margin: float):
     return lambda zs: lookup(low, steps, zs)
 
 
-def _table_survivors(sx, sy, sz, inv_words, R: float,
-                     margin: float) -> np.ndarray:
+def _table_survivors(sx, sy, sz, inv_words, R: float, margin: float,
+                     corners=None) -> np.ndarray:
     """Indices of the points (coordinate arrays sx, sy, sz) that a sheared
     profile-table test cannot place within R - margin of a shell word.
 
@@ -338,13 +370,17 @@ def _table_survivors(sx, sy, sz, inv_words, R: float,
     limit must be nonnegative.  The profile never reaches past X = R, so
     only points with rho <= R - margin and |zeta| <= R can pass, and the
     table is read for those alone.
+
+    corners, when given, is (order, inv_corners), a few shell words that
+    every point tries first: pass j tests point i against column
+    order[j, i] of the (3, m) array inv_corners.  Each test is the same as
+    in the sweep over inv_words that follows, so the survivors do not
+    depend on corners; most points pass at the first corner they try.
     """
     limit = _table_limit(R, margin)
     cut2 = (R - margin) ** 2
-    alive = np.arange(len(sx))
-    for winv in zip(*inv_words):
-        if len(alive) == 0:
-            break
+
+    def unsettled(alive, winv):
         lx, ly, lz = translate((sx[alive], sy[alive], sz[alive]), winv)
         rho2 = lx * lx + ly * ly
         zs = np.abs(lz - 0.5 * lx * ly)
@@ -352,7 +388,19 @@ def _table_survivors(sx, sy, sz, inv_words, R: float,
         lim = limit(zs[near])
         ok = np.zeros(len(alive), bool)
         ok[near] = (lim >= 0.0) & (rho2[near] <= lim * lim)
-        alive = alive[~ok]
+        return alive[~ok]
+
+    alive = np.arange(len(sx))
+    if corners is not None:
+        order, inv_corners = corners
+        for row in order:
+            if len(alive) == 0:
+                break
+            alive = unsettled(alive, inv_corners.take(row[alive], axis=1))
+    for winv in zip(*inv_words):
+        if len(alive) == 0:
+            break
+        alive = unsettled(alive, winv)
     return alive
 
 
@@ -364,6 +412,35 @@ def _unit_halton(n: int) -> np.ndarray:
     pts = qmc.Halton(d=3, scramble=False).random(n)
     pts.setflags(write=False)
     return pts
+
+
+# columns of _shell_words(lattice, 2), which is lexicographic in (a, b, c)
+# over [-2, 2]^3, that hold the words tau1^a tau2^b tau3^c with a, b, c in
+# {0, 1}, in the order 4a + 2b + c: the corners a T1 + b T2 + c T3 of the
+# sampled box
+_CORNER_WORDS = [25 * (a + 2) + 5 * (b + 2) + c + 2
+                 for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+
+
+@functools.lru_cache(maxsize=4)
+def _corner_order(n: int) -> np.ndarray:
+    """The corners (a, b, c) of the unit cube, as 4a + 2b + c, nearest first
+    for each of the first n Halton points: entry (j, i) is the j-th nearest
+    corner of point i.  Like _unit_halton it depends on n alone and is
+    shared and read-only."""
+    pts = _unit_halton(n)
+    order = np.empty((8, n), np.uint8)
+    # in chunks, so the float and index temporaries stay small
+    for lo in range(0, n, 4096):
+        u = pts[lo:lo + 4096]
+        # squared distance along each axis to the face at 0 and at 1
+        sq = np.stack([u * u, (1.0 - u) ** 2])
+        d2 = (sq[:, None, None, :, 0] + sq[None, :, None, :, 1]
+              + sq[None, None, :, :, 2])
+        order[:, lo:lo + 4096] = np.argsort(d2.reshape(8, -1), axis=0,
+                                            kind="stable")
+    order.setflags(write=False)
+    return order
 
 
 def _sample_check(lattice: Lattice, R: float, n_samples: int,
@@ -383,7 +460,10 @@ def _sample_check(lattice: Lattice, R: float, n_samples: int,
     # the table test settles the bulk where it applies; exact distances
     # settle the stragglers
     if R <= PI:
-        alive = _table_survivors(sx, sy, sz, inv_words, R, margin)
+        # before the sweep, each sample tries the box corners nearest to it
+        corners = (_corner_order(n_samples),
+                   np.array(inverse(words[:, _CORNER_WORDS])))
+        alive = _table_survivors(sx, sy, sz, inv_words, R, margin, corners)
     else:
         alive = np.arange(n_samples)
 

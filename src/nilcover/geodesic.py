@@ -180,9 +180,9 @@ def geodesic_point(g: GeodesicParams) -> Point:
 def _newton_profile(rho, zeta, th0, R0, itmax=60):
     """Damped Newton on X(R,th) = rho, Z(R,th) = zeta; zeta >= 0 assumed.
 
-    Returns (theta, R) on success, None on failure.  Each trial point costs
-    one _profile_fj call; the Jacobian of the accepted point is kept for
-    the next step.
+    Returns (theta, R, fj) on success, fj the _profile_fj tuple at the
+    root, None on failure.  Each trial point costs one _profile_fj call;
+    the Jacobian of the accepted point is kept for the next step.
     """
     th, R = th0, R0
     fj = _profile_fj(R, th)
@@ -211,7 +211,7 @@ def _newton_profile(rho, zeta, th0, R0, itmax=60):
         else:
             break
     if nrm < _ROOT_TOL:
-        return th, R
+        return th, R, fj
     return None
 
 
@@ -253,7 +253,8 @@ def _bracket_profile(rho, zs):
 
 
 def _invert_profile(rho, zeta):
-    """The minimizing root (theta, s) for the sheared target (rho, zeta).
+    """The minimizing root (theta, s) for the sheared target (rho, zeta),
+    with fj, the _profile_fj tuple at the root: (theta, s, fj).
 
     The root solves the profile system for |zeta|, so theta >= 0; callers
     sign it.  The distance is at least rho, and the longest vertical chord
@@ -262,28 +263,30 @@ def _invert_profile(rho, zeta):
     and the equator have closed forms.  Elsewhere a root with s <= 2*pi is
     minimizing (see the module docstring), so the single Newton run is
     accepted whenever it finds one; when it does not, _bracket_profile
-    finds the root or rejects a target outside the 2*pi ball.
+    finds the root or rejects a target outside the 2*pi ball.  The Newton
+    run returns the fj it accepted; the other paths evaluate it once.
     """
     zs = abs(zeta)
     if not (rho <= TWO_PI + 1e-9 and zs <= 2.5 * PI + 1e-9):
         raise NoSolutionError("(rho=%g, |zeta|=%g) lies beyond geodesic reach"
                               % (rho, zs))
     if rho < 1e-14:
-        root = (0.5 * PI, zs)
+        th, s = 0.5 * PI, zs
     elif zs < 1e-14:
         # equatorial target: the profile solve degenerates to theta = 0
-        root = (0.0, rho)
+        th, s = 0.0, rho
     else:
         th0 = math.atan2(zs, rho)
         R0 = math.hypot(rho, zs)
         root = _newton_profile(rho, zs, min(th0, 0.5 * PI * 0.999),
                                min(R0, TWO_PI))
-        if root is None or root[1] > TWO_PI + 1e-9:
-            root = _bracket_profile(rho, zs)
-    if root[1] > TWO_PI + 1e-9:
+        if root is not None and root[1] <= TWO_PI + 1e-9:
+            return root
+        th, s = _bracket_profile(rho, zs)
+    if s > TWO_PI + 1e-9:
         raise NoSolutionError("no geodesic of length <= 2*pi reaches "
                               "(rho=%g, |zeta|=%g)" % (rho, zs))
-    return root
+    return th, s, _profile_fj(s, th)
 
 
 def distance_to_origin(p: Point) -> float:
@@ -325,6 +328,7 @@ def geodesic_between(p1: Point, p2: Point) -> GeodesicSolveResult:
     rho, zeta = _reduced(target)
     if rho < 1e-14 and abs(zeta) < 1e-14:
         return GeodesicSolveResult(GeodesicParams(0.0, 0.0, 0.0), 0.0)
-    best = _params_from_root(*_invert_profile(rho, zeta), target)
+    theta, s, _ = _invert_profile(rho, zeta)
+    best = _params_from_root(theta, s, target)
     residual = math.dist(geodesic_point(best), target)
     return GeodesicSolveResult(best, residual)

@@ -24,6 +24,12 @@ from nilcover import (DomainError, LatticeBasis, NoSolutionError, ball_volume,
 UNIT = LatticeBasis(t1=(1.0, 0.0, 0.0), t2=(0.0, 1.0, 0.0), k=1)
 OPT = LatticeBasis(t1=(1.30633820, 0.0, 0.73894461),
                    t2=(0.65316910, 1.13132206, 1.10841692), k=1)
+K2 = LatticeBasis((1.1, 0.0, 0.495), (0.33, 0.99, 0.658), 2)
+K3 = LatticeBasis((2.1456340601001993, 0.0, 1.2194587210000505),
+                  (3.185789232039064, 1.1366884443874858, 3.030083624156494), 3)
+# corner (a, b, c) of the unit cube in row 4a + 2b + c
+CUBE_CORNERS = np.array([(a, b, c) for a in (0, 1) for b in (0, 1)
+                         for c in (0, 1)], float)
 
 
 def corner_tet(basis):
@@ -40,6 +46,8 @@ def test_circumball_known_solution():
     assert abs(cz - 0.79997799) < 1e-5
     assert abs(res.radius - 0.90293941) < 1e-5
     assert res.residual <= 1e-8
+    assert all(type(x) is float for x in (*res.center, res.radius,
+                                          res.residual))
 
 
 def test_circumball_equidistance():
@@ -143,8 +151,7 @@ def test_witness_distance_far_below_radius():
 def test_verify_covering_independent_of_word_order(monkeypatch):
     # the table pass tries the shell words nearest-first; shuffling the
     # words it is given must not change any result, witness included
-    cases = [(UNIT, 0.65), (UNIT, 0.7), (UNIT, 0.9), (OPT, 0.9),
-             (LatticeBasis((1.1, 0.0, 0.495), (0.33, 0.99, 0.658), 2), 0.8)]
+    cases = [(UNIT, 0.65), (UNIT, 0.7), (UNIT, 0.9), (OPT, 0.9), (K2, 0.8)]
     expected = [verify_covering(lattice_from_params(b), R, 2000)
                 for b, R in cases]
     shell_words = covering._shell_words
@@ -182,18 +189,57 @@ def _reference_survivors(sx, sy, sz, inv_words, R, margin):
     return alive
 
 
+def _box(lat):
+    fd = fundamental_domain(lat)
+    return np.array([fd.T1, fd.T2, fd.T3], float)
+
+
 def test_table_survivors_match_unfiltered_reference():
-    k2 = LatticeBasis((1.1, 0.0, 0.495), (0.33, 0.99, 0.658), 2)
-    for basis in (OPT, UNIT, k2):
+    # with and without the corner passes
+    for basis in (OPT, UNIT, K2):
         lat = lattice_from_params(basis)
-        fd = fundamental_domain(lat)
-        M = np.array([fd.T1, fd.T2, fd.T3], float)
-        sx, sy, sz = (covering._unit_halton(4000) @ M).T.copy()
-        inv_words = inverse(covering._shell_words(lat, 2))
+        sx, sy, sz = (covering._unit_halton(4000) @ _box(lat)).T.copy()
+        words = covering._shell_words(lat, 2)
+        inv_words = inverse(words)
+        corners = (covering._corner_order(4000),
+                   np.array(inverse(words[:, covering._CORNER_WORDS])))
         for R in (0.3, 0.7, 0.90293941 * (1 + 1e-6), 1.5, math.pi):
-            got = covering._table_survivors(sx, sy, sz, inv_words, R, 1e-6)
             want = _reference_survivors(sx, sy, sz, inv_words, R, 1e-6)
+            got = covering._table_survivors(sx, sy, sz, inv_words, R, 1e-6)
             assert np.array_equal(got, want)
+            got = covering._table_survivors(sx, sy, sz, inv_words, R, 1e-6,
+                                            corners)
+            assert np.array_equal(got, want)
+
+
+def test_corner_words_are_box_corners():
+    # the corner candidates are the shell words with exponents in {0, 1},
+    # in the order 4a + 2b + c, and bit for bit the corners of the box
+    # the samples fill
+    exps = np.array(np.meshgrid(*[np.arange(-2, 3)] * 3,
+                                indexing="ij")).reshape(3, -1)
+    in_01 = np.all((exps == 0) | (exps == 1), axis=0)
+    for basis in (OPT, UNIT, K2, K3):
+        lat = lattice_from_params(basis)
+        words = covering._shell_words(lat, 2)
+        got = words[:, covering._CORNER_WORDS]
+        assert got.tobytes() == words[:, in_01].tobytes()
+        assert got.T.tobytes() == (CUBE_CORNERS @ _box(lat)).tobytes()
+
+
+def test_corner_passes_settle_opt(monkeypatch):
+    # at R (1 + 1e-6) every sample of OPT's check passes the table test at
+    # one of its box corners, so the sweep over the shell words runs no
+    # pass.  A table pass translates sample arrays: a corner pass by one
+    # word per sample, a sweep pass by one word for all
+    lat = lattice_from_params(OPT)
+    R = max(circumball(*tet).radius for tet in domain_tetrahedra(lat))
+    calls = _count_calls(monkeypatch, "translate")
+    assert verify_covering(lat, R * (1 + 1e-6)).covered
+    passes = [t for p, t in calls if isinstance(p[0], np.ndarray)]
+    corner_passes = [t for t in passes if np.ndim(t[0]) == 1]
+    assert 1 <= len(corner_passes) <= 8
+    assert len(passes) == len(corner_passes)
 
 
 def test_table_limit_below_theta_table():
@@ -213,6 +259,18 @@ def test_halton_points_shared_read_only():
     assert not pts.flags.writeable
     with pytest.raises(ValueError):
         pts[0, 0] = 1.0
+    # the per-sample corner order: one byte per sample and corner, each
+    # column the eight corners of the unit cube nearest first
+    order = covering._corner_order(2000)
+    assert order.dtype == np.uint8 and order.shape == (8, 2000)
+    assert not order.flags.writeable
+    assert covering._corner_order(2000) is order
+    with pytest.raises(ValueError):
+        order[0, 0] = 1
+    assert np.array_equal(np.sort(order, axis=0),
+                          np.repeat(np.arange(8)[:, None], 2000, axis=1))
+    d2 = ((pts[None] - CUBE_CORNERS[order]) ** 2).sum(axis=2)
+    assert np.all(np.diff(d2, axis=0) >= 0.0)
     lat = lattice_from_params(UNIT)
     first = verify_covering(lat, 0.7, 2000)
     assert repr(verify_covering(lat, 0.7, 2000)) == repr(first)
@@ -345,9 +403,7 @@ def test_circumball_centroid_restart(monkeypatch):
     # line searches try four centres outside the 2*pi ball, which the
     # fallback rejects)
     newtons.clear()
-    res = real(*corner_tet(LatticeBasis(
-        (2.1456340601001993, 0.0, 1.2194587210000505),
-        (3.185789232039064, 1.1366884443874858, 3.030083624156494), 3)))
+    res = real(*corner_tet(K3))
     assert len(newtons) == 2
     assert abs(res.radius - 1.88874823) < 1e-7
     assert res.residual <= 1e-8
@@ -363,6 +419,42 @@ def test_circumball_newton_evaluations_on_opt(monkeypatch):
         evals.clear()
         assert abs(circumball(*tet).radius - 0.90293941) < 1e-6
         assert len(evals) <= 4 * 6
+
+
+def test_float_solve_matches_numpy():
+    rng = np.random.default_rng(11)
+    for n in (3, 4):
+        for _ in range(200):
+            A = rng.uniform(-1.0, 1.0, (n, n))
+            b = rng.uniform(-1.0, 1.0, n)
+            want = np.linalg.solve(A, b)
+            got = covering._solve(A.tolist(), b.tolist())
+            assert all(type(x) is float for x in got)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_newton_circumball_singular_jacobian(monkeypatch):
+    # equal gradients at all four points make the Jacobian singular, which
+    # np.linalg.solve rejects; the Newton run gives up with None
+    monkeypatch.setattr(covering, "_distance_and_gradient",
+                        lambda c, p: (p[0], (0.5, 0.5, 0.5)))
+    pts = [(float(i), 0.0, 0.0) for i in range(4)]
+    J = np.array([[0.5, 0.5, 0.5, -1.0]] * 4)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(J, np.ones(4))
+    assert covering._solve(J.tolist(), [1.0] * 4) is None
+    assert covering._newton_circumball(pts, (0.0, 0.0, 0.0, 1.0)) is None
+
+
+def test_distance_gradient_reuses_newton_jacobian(monkeypatch):
+    # the profile inversion returns the Jacobian its Newton run accepted,
+    # so a gradient costs no profile evaluation of its own
+    evals = _count_calls(monkeypatch, "_profile_fj", module=geodesic)
+    covering_density(lattice_from_params(OPT))
+    assert len(evals) == 480
+    evals.clear()
+    circumball(*corner_tet(hex_family_lattice(1.26001585)))
+    assert len(evals) == 64
 
 
 def test_circumball_restart_guard():
