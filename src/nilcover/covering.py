@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 from scipy.stats import qmc
 
-from .ball import ball_volume, max_vertical_chord
+from .ball import ball_volume
 from .core import Point, inverse, translate
 from .errors import (DegenerateGeometryError, DomainError, NilcoverError,
                      NoSolutionError)
@@ -265,34 +265,33 @@ def _circumcenter_probes(lattice: Lattice) -> list:
     return probes
 
 
-def _min_lattice_distance(p: Point, inv_words, R: float, zbound: float,
-                          stop_below: float) -> float:
-    """Distance from p to the nearest shell lattice point, with a cheap
-    cylinder prefilter; returns early once at or below stop_below.
+def _min_lattice_distance(p: Point, inv_words, stop_below: float) -> float:
+    """Distance from p to the nearest shell lattice point (inf if none lies
+    within 2*pi); returns early with some value at or below stop_below once
+    the nearest distance is known to be there.
 
     inv_words holds the inverses of the shell words as three coordinate
-    arrays.  The distance to a word is at least its horizontal distance
-    rho, so words are measured in increasing rho and the rest are skipped
-    once rho exceeds the nearest distance found.
+    arrays.  The distance d to a word is at least max(rho, min(|zeta|, pi))
+    for its horizontal distance rho and sheared height zeta: d >= rho, and
+    a ball of radius d <= pi reaches only |zeta| <= d (see
+    max_vertical_chord).  Words are measured in increasing bound, and the
+    rest are skipped once the bound exceeds the nearest distance found.
     """
     lx, ly, lz = translate(p, inv_words)
-    rho = np.hypot(lx, ly)
-    zeta = lz - 0.5 * lx * ly
-    near = np.flatnonzero((rho <= R + 1e-9) & (np.abs(zeta) <= zbound + 1e-9))
-    near = near[np.argsort(rho[near], kind="stable")]
+    zs = np.minimum(np.abs(lz - 0.5 * lx * ly), PI)
+    lb = np.maximum(np.hypot(lx, ly), zs)
     dmin = math.inf
-    for r, q in zip(rho[near].tolist(), zip(lx[near].tolist(),
-                                            ly[near].tolist(),
-                                            lz[near].tolist())):
-        if r > dmin:
+    for i in np.argsort(lb).tolist():
+        if lb[i] > dmin:
             break
         try:
-            d = distance_to_origin(q)
+            d = distance_to_origin((float(lx[i]), float(ly[i]), float(lz[i])))
         except NoSolutionError:
             continue
-        dmin = min(dmin, d)
-        if dmin <= stop_below:
-            break
+        if d < dmin:
+            dmin = d
+            if dmin <= stop_below:
+                break
     return dmin
 
 
@@ -310,9 +309,16 @@ def verify_covering(lattice: Lattice, R: float,
     profile lowered by a 1e-6 margin rejects.  Each sample is tested
     against the lattice points at the corners of the domain box first,
     nearest first, and only then against the other shell points, nearest
-    to the box center first; the order changes no result.  Exact distances
-    settle the boundary stragglers; the circumcenters of the domain
-    tetrahedra are probed first.
+    to the box center first; the order changes no result.
+
+    The circumcenters of the domain tetrahedra are probed first, by exact
+    distance.  The table test then runs at the larger of R and the worst
+    probe distance, since a sample it places nearer than that cannot be
+    the witness, capped at pi, where the profile stops being monotone; a
+    sample within pi is covered at any R above pi.  Exact distances settle
+    the samples it leaves, each measured only as far as it must be to beat
+    R or the worst uncovered point so far.  There is no search radius, so
+    the witness's distance is exact however far it lies.
 
     When a sample is uncovered, returns the worst uncovered sample (or
     probe) as witness, with its exact distance to the shell lattice points.
@@ -456,55 +462,28 @@ def _sample_check(lattice: Lattice, R: float, n_samples: int,
     inv_words = inverse(words[:, near])
 
     margin = 1e-6
-    sx, sy, sz = smp[:, 0].copy(), smp[:, 1].copy(), smp[:, 2].copy()
-    # the table test settles the bulk where it applies; exact distances
-    # settle the stragglers
-    if R <= PI:
-        # before the sweep, each sample tries the box corners nearest to it
-        corners = (_corner_order(n_samples),
-                   np.array(inverse(words[:, _CORNER_WORDS])))
-        alive = _table_survivors(sx, sy, sz, inv_words, R, margin, corners)
-    else:
-        alive = np.arange(n_samples)
-
     worst_d = -1.0
     worst_p = None
-    # the exact pass searches a bit beyond R so a witness's true distance
-    # is reported, not just its failure
-    R_search = min(1.05 * R + 1e-3, TWO_PI)
-    zb_search = 0.5 * max_vertical_chord(R_search)
-    stragglers = [(float(sx[i]), float(sy[i]), float(sz[i])) for i in alive]
-    far = []
-    for p in probes + stragglers:
-        dmin = _min_lattice_distance(p, inv_words, R_search, zb_search,
-                                     R - margin)
-        if dmin > R_search:
-            far.append(p)
-        elif dmin > R + 1e-9 and dmin > worst_d:
-            worst_d, worst_p = dmin, p
-    if far:
-        # a point with no lattice point within R_search lies farther than
-        # every point measured above, so these are measured without the cut.
-        # The one farthest horizontally from the lattice (d >= rho) goes
-        # first; the table test at its distance drops the rest that lie
-        # nearer, and each survivor stops once it is within worst_d.
-        fx, fy, fz = np.array(far).T
-        lb = np.full(len(far), math.inf)
-        for ix, iy in zip(inv_words[0], inv_words[1]):
-            lb = np.minimum(lb, np.hypot(fx + ix, fy + iy))
-        order = np.argsort(-lb, kind="stable")
-        worst_p = far[order[0]]
-        worst_d = _min_lattice_distance(worst_p, inv_words, math.inf,
-                                        math.inf, worst_d)
-        rest = order[1:]
-        if worst_d <= PI:
-            rest = rest[_table_survivors(fx[rest], fy[rest], fz[rest],
-                                         inv_words, worst_d, margin)]
-        for i in rest.tolist():
-            d = _min_lattice_distance(far[i], inv_words, math.inf, math.inf,
-                                      worst_d)
-            if d > worst_d:
-                worst_d, worst_p = d, far[i]
+
+    def measure(points):
+        # exact distances; a point only needs measuring past R - margin and
+        # past the worst uncovered point so far
+        nonlocal worst_d, worst_p
+        for p in points:
+            d = _min_lattice_distance(p, inv_words, max(R - margin, worst_d))
+            if d > R + 1e-9 and d > worst_d:
+                worst_d, worst_p = d, p
+
+    measure(probes)
+    sx, sy, sz = smp[:, 0].copy(), smp[:, 1].copy(), smp[:, 2].copy()
+    # the table test settles the bulk, at the radius verify_covering
+    # explains; before the sweep, each sample tries the box corners nearest
+    # to it
+    corners = (_corner_order(n_samples),
+               np.array(inverse(words[:, _CORNER_WORDS])))
+    alive = _table_survivors(sx, sy, sz, inv_words, min(max(R, worst_d), PI),
+                             margin, corners)
+    measure((float(sx[i]), float(sy[i]), float(sz[i])) for i in alive.tolist())
     if worst_p is None:
         return CoverageResult(covered=True, radius=R, samples=n_samples)
     return CoverageResult(covered=False, radius=R, samples=n_samples,
@@ -522,7 +501,10 @@ def covering_radius(lattice: Lattice) -> float:
     sampling covers it at about 0.77.  The sampling check finds points too
     far from the lattice, never a radius that is too large.  If it finds an
     uncovered point (possible when the balls are large enough to be
-    non-convex) the radius is grown by bisection until the check passes.
+    non-convex) the radius is grown to the exact distance of the worst
+    uncovered point, its witness, and checked once more; NoSolutionError
+    if that check fails too, as when a point lies beyond 2*pi of the
+    lattice.
     """
     verts = fundamental_domain(lattice).as_dict()
     balls = [circumball(*[verts[label] for label in tet])
@@ -530,27 +512,15 @@ def covering_radius(lattice: Lattice) -> float:
     R = max(b.radius for b in balls)
     probes = [b.center for b in balls]
 
-    def covers(r):
-        return _sample_check(lattice, r, 20000, probes).covered
-
-    if covers(min(R * (1.0 + 1e-6), TWO_PI)):
+    res = _sample_check(lattice, min(R * (1.0 + 1e-6), TWO_PI), 20000, probes)
+    if res.covered:
         return R
     log.warning("tetrahedra circumradius %.12g fails sampling check; "
-                "growing by bisection", R)
-    lo, hi = R, R
-    while hi < TWO_PI:
-        hi = min(hi * 1.05, TWO_PI)
-        if covers(hi):
-            break
-    else:
-        raise NoSolutionError("no covering radius <= 2*pi")
-    while hi - lo > 1e-8 * hi:
-        mid = 0.5 * (lo + hi)
-        if covers(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+                "growing to witness distance %.12g", R, res.witness_distance)
+    R = min(res.witness_distance, TWO_PI)
+    if _sample_check(lattice, R, 20000, probes).covered:
+        return R
+    raise NoSolutionError("no covering radius <= 2*pi")
 
 
 @dataclass(frozen=True)

@@ -177,7 +177,7 @@ def geodesic_point(g: GeodesicParams) -> Point:
 # ---------------------------------------------------------------------------
 # inverse problem
 
-def _newton_profile(rho, zeta, th0, R0, itmax=60):
+def _newton_profile(rho, zeta, th0, R0):
     """Damped Newton on X(R,th) = rho, Z(R,th) = zeta; zeta >= 0 assumed.
 
     Returns (theta, R, fj) on success, fj the _profile_fj tuple at the
@@ -188,7 +188,7 @@ def _newton_profile(rho, zeta, th0, R0, itmax=60):
     fj = _profile_fj(R, th)
     f1, f2 = fj[0] - rho, fj[1] - zeta
     nrm = math.hypot(f1, f2)
-    for _ in range(itmax):
+    for _ in range(60):
         if nrm < 1e-13:
             break
         _, _, dXdt, dXdR, dZdt, dZdR = fj

@@ -163,6 +163,42 @@ def test_verify_covering_independent_of_word_order(monkeypatch):
     assert [r.covered for r in got] == [False, False, True, False, True]
 
 
+def test_min_lattice_distance_matches_brute_force():
+    # the nearest shell-2 word by brute force, and the lower bound the
+    # search orders words by, on seeded points of three boxes and at the
+    # probes
+    rng = np.random.default_rng(11)
+    for basis in (OPT, UNIT, K2):
+        lat = lattice_from_params(basis)
+        inv_words = inverse(covering._shell_words(lat, 2))
+        fd = fundamental_domain(lat)
+        M = np.array([fd.T1, fd.T2, fd.T3])
+        points = [tuple(float(x) for x in u @ M) for u in rng.random((12, 3))]
+        for p in points + covering._circumcenter_probes(lat):
+            d = math.inf
+            for q in zip(*(c.tolist() for c in translate(p, inv_words))):
+                try:
+                    dq = geodesic.distance_to_origin(q)
+                except NoSolutionError:
+                    continue
+                d = min(d, dq)
+                x, y, z = q
+                lb = max(math.hypot(x, y), min(abs(z - 0.5 * x * y), math.pi))
+                assert lb <= dq + 1e-12
+            assert covering._min_lattice_distance(p, inv_words, -1.0) == d
+
+
+def test_failing_check_measures_few_points(monkeypatch):
+    # at R = 0.01 every sample is uncovered; the six probes settle the
+    # witness distance and the table pass at that distance leaves almost
+    # no sample to measure exactly
+    calls = _count_calls(monkeypatch, "_min_lattice_distance")
+    res = verify_covering(lattice_from_params(OPT), 0.01)
+    assert not res.covered
+    assert res.witness_distance == pytest.approx(0.9029394144, abs=1e-9)
+    assert len(calls) <= 16
+
+
 def test_profile_array_matches_scalar_profile():
     thetas = np.linspace(0.0, 0.5 * math.pi, 4001)
     for R in (1e-3, 0.19, 0.2, 0.9, math.pi):
@@ -330,18 +366,21 @@ def test_covering_density_one_covering_pass(monkeypatch):
     assert len(checks) == 1
 
 
-def test_covering_radius_bisection(monkeypatch, caplog):
-    # circumradii 3 % short fail the sampling check, so the radius must be
-    # grown back by bisection, still from the first six circumballs
+def test_covering_radius_grows_to_witness(monkeypatch, caplog):
+    # circumradii 3 % short fail the sampling check; the radius is grown to
+    # the exact distance of the check's witness and checked once more,
+    # still from the first six circumballs
     circumballs = _count_calls(
         monkeypatch, "circumball",
         lambda res: replace(res, radius=0.97 * res.radius))
+    checks = _count_calls(monkeypatch, "_sample_check")
     with caplog.at_level(logging.WARNING, logger="nilcover.covering"):
         rep = covering_density(lattice_from_params(OPT))
-    assert "growing by bisection" in caplog.text
     assert abs(rep.covering_radius - 0.90293941) < 1e-6
     assert rep.verified
     assert len(circumballs) == 6
+    assert len(checks) == 2
+    assert "witness distance %.12g" % rep.covering_radius in caplog.text
 
 
 def test_no_multistart_sweeps_on_paper_lattices(monkeypatch):
