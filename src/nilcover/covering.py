@@ -260,8 +260,9 @@ def _circumcenter_probes(lattice: Lattice) -> list:
     for tet in DOMAIN_TETRAHEDRA:
         try:
             probes.append(circumball(*[verts[label] for label in tet]).center)
-        except (DegenerateGeometryError, NoSolutionError):
-            continue
+        except (DegenerateGeometryError, NoSolutionError) as exc:
+            log.warning("no circumball for tetrahedron (%s): %s; its probe "
+                        "is dropped", ", ".join(tet), exc)
     return probes
 
 
@@ -311,14 +312,28 @@ def verify_covering(lattice: Lattice, R: float,
     nearest first, and only then against the other shell points, nearest
     to the box center first; the order changes no result.
 
+    A cell pass settles whole cells of samples before that.  A grid of
+    _GRID_CELLS^3 cells is laid over the unit Halton cube, and each cell's
+    center is tested against the two box corners nearest to it, with its
+    horizontal distance rho and sheared height |zeta| raised by bounds on
+    how far any point of the cell can move them (_cell_bounds).  The table
+    runs only at R <= pi, where X falls and Z rises in theta (see
+    max_vertical_chord), so its limit falls as |zeta| grows, and the
+    points it accepts form a down-set: lowering rho or |zeta| keeps a
+    point accepted.  So every sample of a passing cell passes the
+    per-sample test at that corner, and is dropped from it.  The survivors,
+    and so every result, are those of the per-sample test alone.
+
     The circumcenters of the domain tetrahedra are probed first, by exact
     distance.  The table test then runs at the larger of R and the worst
     probe distance, since a sample it places nearer than that cannot be
     the witness, capped at pi, where the profile stops being monotone; a
     sample within pi is covered at any R above pi.  Exact distances settle
-    the samples it leaves, each measured only as far as it must be to beat
-    R or the worst uncovered point so far.  There is no search radius, so
-    the witness's distance is exact however far it lies.
+    the samples it leaves, 64 at a time, each measured only as far as it
+    must be to beat R or the worst uncovered point so far.  When that
+    worst distance passes the table's radius, the table test runs again
+    there on the samples left.  There is no search radius, so the
+    witness's distance is exact however far it lies.
 
     When a sample is uncovered, returns the worst uncovered sample (or
     probe) as witness, with its exact distance to the shell lattice points.
@@ -349,7 +364,9 @@ def _table_limit(R: float, margin: float):
     value dev is taken at some Z_j.  The grid is lowered by dev + margin
     plus a rounding allowance of a few ulps of R, so the limit never
     exceeds the theta polyline lowered by margin: the test never accepts a
-    point that a lookup in the theta table would reject.
+    point that a lookup in the theta table would reject.  A running minimum
+    keeps the lowered grid from rising where rounding would lift it, so the
+    limit falls as zs grows, as the profile's reach does.
     """
     X, Z = _profile_array(R, np.linspace(0.0, 0.5 * PI, 4001))
     scale = _TABLE_CELLS / R
@@ -361,13 +378,13 @@ def _table_limit(R: float, margin: float):
 
     Xg = np.interp(np.linspace(0.0, R, _TABLE_CELLS + 1), Z, X)
     dev = max(float(np.max(lookup(Xg, np.diff(Xg), Z) - X)), 0.0)
-    low = Xg - (dev + margin + _ROUNDING * R)
+    low = np.minimum.accumulate(Xg - (dev + margin + _ROUNDING * R))
     steps = np.diff(low)
     return lambda zs: lookup(low, steps, zs)
 
 
 def _table_survivors(sx, sy, sz, inv_words, R: float, margin: float,
-                     corners=None) -> np.ndarray:
+                     corners=None, cells=None) -> np.ndarray:
     """Indices of the points (coordinate arrays sx, sy, sz) that a sheared
     profile-table test cannot place within R - margin of a shell word.
 
@@ -382,23 +399,44 @@ def _table_survivors(sx, sy, sz, inv_words, R: float, margin: float,
     order[j, i] of the (3, m) array inv_corners.  Each test is the same as
     in the sweep over inv_words that follows, so the survivors do not
     depend on corners; most points pass at the first corner they try.
+
+    cells, when given with corners, is (cell_of, centers, nearest, M): the
+    grid cell of each point, the cell centers as a (3, C) array, the
+    columns of inv_corners that each cell tries, as a (2, C) array, and
+    the box the cells fill, with rows T1, T2, T3.  A cell whose center
+    passes the test at one of its corners, with the raised rho and |zeta|
+    of _cell_bounds, settles all its points (see verify_covering), which
+    skip the passes that follow; the survivors do not depend on cells
+    either.
     """
     limit = _table_limit(R, margin)
     cut2 = (R - margin) ** 2
 
-    def unsettled(alive, winv):
-        lx, ly, lz = translate((sx[alive], sy[alive], sz[alive]), winv)
-        rho2 = lx * lx + ly * ly
-        zs = np.abs(lz - 0.5 * lx * ly)
+    def accepted(rho2, zs):
         near = np.flatnonzero((zs <= R) & (rho2 <= cut2))
         lim = limit(zs[near])
-        ok = np.zeros(len(alive), bool)
+        ok = np.zeros(len(zs), bool)
         ok[near] = (lim >= 0.0) & (rho2[near] <= lim * lim)
-        return alive[~ok]
+        return ok
+
+    def unsettled(alive, winv):
+        lx, ly, lz = translate((sx[alive], sy[alive], sz[alive]), winv)
+        return alive[~accepted(lx * lx + ly * ly, np.abs(lz - 0.5 * lx * ly))]
 
     alive = np.arange(len(sx))
     if corners is not None:
         order, inv_corners = corners
+        if cells is not None:
+            cell_of, centers, nearest, M = cells
+            open_cells = np.arange(centers.shape[1])
+            for row in nearest:
+                rho, zs = _cell_bounds(
+                    centers[:, open_cells],
+                    inv_corners.take(row[open_cells], axis=1), M)
+                open_cells = open_cells[~accepted(rho * rho, zs)]
+            is_open = np.zeros(centers.shape[1], bool)
+            is_open[open_cells] = True
+            alive = np.flatnonzero(is_open[cell_of])
         for row in order:
             if len(alive) == 0:
                 break
@@ -428,16 +466,13 @@ _CORNER_WORDS = [25 * (a + 2) + 5 * (b + 2) + c + 2
                  for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 
 
-@functools.lru_cache(maxsize=4)
-def _corner_order(n: int) -> np.ndarray:
+def _nearest_corners(pts: np.ndarray) -> np.ndarray:
     """The corners (a, b, c) of the unit cube, as 4a + 2b + c, nearest first
-    for each of the first n Halton points: entry (j, i) is the j-th nearest
-    corner of point i.  Like _unit_halton it depends on n alone and is
-    shared and read-only."""
-    pts = _unit_halton(n)
-    order = np.empty((8, n), np.uint8)
+    for each row of the (m, 3) array pts: entry (j, i) is the j-th nearest
+    corner of point i."""
+    order = np.empty((8, len(pts)), np.uint8)
     # in chunks, so the float and index temporaries stay small
-    for lo in range(0, n, 4096):
+    for lo in range(0, len(pts), 4096):
         u = pts[lo:lo + 4096]
         # squared distance along each axis to the face at 0 and at 1
         sq = np.stack([u * u, (1.0 - u) ** 2])
@@ -445,8 +480,73 @@ def _corner_order(n: int) -> np.ndarray:
               + sq[None, None, :, :, 2])
         order[:, lo:lo + 4096] = np.argsort(d2.reshape(8, -1), axis=0,
                                             kind="stable")
+    return order
+
+
+@functools.lru_cache(maxsize=4)
+def _corner_order(n: int) -> np.ndarray:
+    """_nearest_corners of the first n Halton points.  Like _unit_halton it
+    depends on n alone and is shared and read-only."""
+    order = _nearest_corners(_unit_halton(n))
     order.setflags(write=False)
     return order
+
+
+# cells per axis of the grid that the cell pass of the sampling check lays
+# over the unit Halton cube
+_GRID_CELLS = 12
+
+
+@functools.lru_cache(maxsize=4)
+def _cell_layout(n: int):
+    """The cell pass's grid for the first n Halton points: (cell_of, centers,
+    nearest).  cell_of holds each point's cell, (i G + j) G + k for the
+    cell [i, i + 1] x [j, j + 1] x [k, k + 1] / G, G = _GRID_CELLS;
+    centers is the (G^3, 3) array of cell centers; column c of the (2, G^3)
+    array nearest holds the two corners of the unit cube nearest to center
+    c, nearest first, as 4a + 2b + c.  Like _corner_order it depends on n
+    alone and is shared and read-only."""
+    g = _GRID_CELLS
+    ijk = np.minimum((_unit_halton(n) * g).astype(np.intp), g - 1)
+    cell_of = (ijk[:, 0] * g + ijk[:, 1]) * g + ijk[:, 2]
+    mid = (np.arange(g) + 0.5) / g
+    centers = np.stack(np.meshgrid(mid, mid, mid, indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+    nearest = _nearest_corners(centers)[:2].copy()
+    for a in (cell_of, centers, nearest):
+        a.setflags(write=False)
+    return cell_of, centers, nearest
+
+
+def _cell_bounds(centers, winv, M: np.ndarray):
+    """Upper bounds (rho_up, zs_up) on the horizontal distance rho and the
+    sheared height |zeta| relative to the words winv of every point of the
+    grid cells with the given centers (coordinate arrays), for the box with
+    rows M = (T1, T2, T3).
+
+    A point of a cell differs from its center c by at most Ex, Ey and Ez
+    along the three axes: the cell's half-width h times the column sums of
+    |M|, that is h(|t11| + |t21|), h |t22| and h(|t13| + |t23| + |tau3|).
+    A point c + d has local coordinates lx = lx_c + dx, ly = ly_c + dy and
+    lz = lz_c + dz - w_x dy relative to the word w, so
+        rho <= rho_c + hypot(Ex, Ey),
+        |zeta| <= |zeta_c| + Ez + |w_x| Ey
+                  + (|lx_c| Ey + |ly_c| Ex + Ex Ey) / 2.
+    Both are raised by a rounding allowance of 64 eps (1 + S)^2, for S the
+    sum of |M|, which bounds every coordinate of a sample, a corner word or
+    a center: the rounding of their coordinates, of the local coordinates
+    and zeta, and of the table lookup are each a few ulps of S^2 or of
+    R <= pi at most.
+    """
+    absM = np.abs(M)
+    Ex, Ey, Ez = (0.5 / _GRID_CELLS * absM.sum(axis=0)).tolist()
+    pad = 64 * np.finfo(float).eps * (1.0 + float(absM.sum())) ** 2
+    lx, ly, lz = translate(centers, winv)
+    rho_up = np.hypot(lx, ly) + (math.hypot(Ex, Ey) + pad)
+    zs_up = (np.abs(lz - 0.5 * lx * ly) + np.abs(winv[0]) * Ey
+             + 0.5 * (np.abs(lx) * Ey + np.abs(ly) * Ex)
+             + (Ez + 0.5 * Ex * Ey + pad))
+    return rho_up, zs_up
 
 
 def _sample_check(lattice: Lattice, R: float, n_samples: int,
@@ -477,13 +577,26 @@ def _sample_check(lattice: Lattice, R: float, n_samples: int,
     measure(probes)
     sx, sy, sz = smp[:, 0].copy(), smp[:, 1].copy(), smp[:, 2].copy()
     # the table test settles the bulk, at the radius verify_covering
-    # explains; before the sweep, each sample tries the box corners nearest
-    # to it
-    corners = (_corner_order(n_samples),
-               np.array(inverse(words[:, _CORNER_WORDS])))
-    alive = _table_survivors(sx, sy, sz, inv_words, min(max(R, worst_d), PI),
-                             margin, corners)
-    measure((float(sx[i]), float(sy[i]), float(sz[i])) for i in alive.tolist())
+    # explains: first whole cells of samples, then each sample at the box
+    # corners nearest to it
+    order = _corner_order(n_samples)
+    inv_corners = np.array(inverse(words[:, _CORNER_WORDS]))
+    cell_of, centers, nearest = _cell_layout(n_samples)
+    T = min(max(R, worst_d), PI)
+    alive = _table_survivors(sx, sy, sz, inv_words, T, margin,
+                             (order, inv_corners),
+                             (cell_of, (centers @ M).T, nearest, M))
+    while len(alive):
+        chunk, alive = alive[:64], alive[64:]
+        measure((float(sx[i]), float(sy[i]), float(sz[i]))
+                for i in chunk.tolist())
+        if len(alive) and min(worst_d, PI) > T:
+            # a sample the table places within T - margin cannot beat the
+            # worst distance found so far
+            T = min(worst_d, PI)
+            alive = alive[_table_survivors(
+                sx[alive], sy[alive], sz[alive], inv_words, T, margin,
+                (order[:, alive], inv_corners))]
     if worst_p is None:
         return CoverageResult(covered=True, radius=R, samples=n_samples)
     return CoverageResult(covered=False, radius=R, samples=n_samples,

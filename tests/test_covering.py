@@ -1,5 +1,6 @@
 """Circumballs, covering radii, densities, bounds."""
 
+import functools
 import logging
 import math
 import random
@@ -12,7 +13,8 @@ from scipy.optimize import minimize
 
 from nilcover import covering, geodesic
 from nilcover import (DomainError, LatticeBasis, NoSolutionError, ball_volume,
-                      bound_f, bound_f1, bound_f2, circumball, covering_density,
+                      bound_f, bound_f1, bound_f2, circumball, compose,
+                      covering_density,
                       covering_radius, distance, domain_tetrahedra,
                       equidistant_projection, fundamental_domain,
                       hex_covering_radius, hex_density, hex_family_lattice,
@@ -163,6 +165,26 @@ def test_verify_covering_independent_of_word_order(monkeypatch):
     assert [r.covered for r in got] == [False, False, True, False, True]
 
 
+def test_dropped_probe_is_logged(monkeypatch, caplog):
+    # a domain tetrahedron without a circumball gives no probe; the check
+    # says which one it dropped
+    lat = lattice_from_params(UNIT)
+    verts = fundamental_domain(lat).as_dict()
+    bad = tuple(verts[v] for v in ("T1", "T12", "T23", "T21"))
+    real = covering.circumball
+
+    def circumball_failing_once(*pts):
+        if pts == bad:
+            raise NoSolutionError("no circumscribed ball")
+        return real(*pts)
+
+    monkeypatch.setattr(covering, "circumball", circumball_failing_once)
+    with caplog.at_level(logging.WARNING, logger="nilcover.covering"):
+        probes = covering._circumcenter_probes(lat)
+    assert len(probes) == 5
+    assert "tetrahedron (T1, T12, T23, T21)" in caplog.text
+
+
 def test_min_lattice_distance_matches_brute_force():
     # the nearest shell-2 word by brute force, and the lower bound the
     # search orders words by, on seeded points of three boxes and at the
@@ -189,14 +211,21 @@ def test_min_lattice_distance_matches_brute_force():
 
 
 def test_failing_check_measures_few_points(monkeypatch):
-    # at R = 0.01 every sample is uncovered; the six probes settle the
-    # witness distance and the table pass at that distance leaves almost
-    # no sample to measure exactly
+    # at R = 0.01 every sample is uncovered.  On OPT the six probes settle
+    # the witness distance and the table pass at that distance leaves
+    # almost no sample to measure exactly.  On the basis (t1, t1 t2) of the
+    # same lattice every probe lies on a lattice point, so the table pass
+    # runs at R; it runs again at the worst distance measured so far, so
+    # not all 20 000 samples go to the exact pass
     calls = _count_calls(monkeypatch, "_min_lattice_distance")
-    res = verify_covering(lattice_from_params(OPT), 0.01)
-    assert not res.covered
-    assert res.witness_distance == pytest.approx(0.9029394144, abs=1e-9)
-    assert len(calls) <= 16
+    rewritten = LatticeBasis(OPT.t1, compose(OPT.t1, OPT.t2), OPT.k)
+    for basis, witness, most in ((OPT, 0.9029394144, 16),
+                                 (rewritten, 0.8930859864, 200)):
+        calls.clear()
+        res = verify_covering(lattice_from_params(basis), 0.01)
+        assert not res.covered
+        assert res.witness_distance == pytest.approx(witness, abs=1e-9)
+        assert len(calls) <= most
 
 
 def test_profile_array_matches_scalar_profile():
@@ -210,11 +239,16 @@ def test_profile_array_matches_scalar_profile():
         assert np.max(np.abs(Z - ref[:, 1])) <= 1e-14
 
 
+@functools.lru_cache(maxsize=None)
+def _scalar_profile_table(R):
+    thetas = np.linspace(0.0, 0.5 * math.pi, 4001)
+    return np.array([geodesic._profile(R, t) for t in thetas])
+
+
 def _reference_survivors(sx, sy, sz, inv_words, R, margin):
     # the table pass without the cylinder prefilter: the scalar profile
     # table is read for every alive point
-    thetas = np.linspace(0.0, 0.5 * math.pi, 4001)
-    prof = np.array([geodesic._profile(R, t) for t in thetas])
+    prof = _scalar_profile_table(R)
     alive = np.arange(len(sx))
     for winv in zip(*inv_words):
         lx, ly, lz = translate((sx[alive], sy[alive], sz[alive]), winv)
@@ -231,14 +265,17 @@ def _box(lat):
 
 
 def test_table_survivors_match_unfiltered_reference():
-    # with and without the corner passes
-    for basis in (OPT, UNIT, K2):
+    # without and with the corner passes, and with the cell pass before them
+    for basis in (OPT, UNIT, K2, K3):
         lat = lattice_from_params(basis)
-        sx, sy, sz = (covering._unit_halton(4000) @ _box(lat)).T.copy()
+        M = _box(lat)
+        sx, sy, sz = (covering._unit_halton(4000) @ M).T.copy()
         words = covering._shell_words(lat, 2)
         inv_words = inverse(words)
         corners = (covering._corner_order(4000),
                    np.array(inverse(words[:, covering._CORNER_WORDS])))
+        cell_of, centers, nearest = covering._cell_layout(4000)
+        cells = (cell_of, (centers @ M).T, nearest, M)
         for R in (0.3, 0.7, 0.90293941 * (1 + 1e-6), 1.5, math.pi):
             want = _reference_survivors(sx, sy, sz, inv_words, R, 1e-6)
             got = covering._table_survivors(sx, sy, sz, inv_words, R, 1e-6)
@@ -246,6 +283,35 @@ def test_table_survivors_match_unfiltered_reference():
             got = covering._table_survivors(sx, sy, sz, inv_words, R, 1e-6,
                                             corners)
             assert np.array_equal(got, want)
+            got = covering._table_survivors(sx, sy, sz, inv_words, R, 1e-6,
+                                            corners, cells)
+            assert np.array_equal(got, want)
+
+
+def test_cell_bounds_hold_inside_cells():
+    # the corners of every grid cell, and seeded points of seeded cells, lie
+    # within the cell's raised rho and |zeta| relative to each box corner
+    # word; some cell corners attain the bounds before rounding
+    rng = np.random.default_rng(23)
+    h = 0.5 / covering._GRID_CELLS
+    _, centers, _ = covering._cell_layout(2000)
+    cell_corners = centers[:, None] + h * (2.0 * CUBE_CORNERS - 1.0)
+    for basis in (OPT, UNIT, K2, K3):
+        lat = lattice_from_params(basis)
+        M = _box(lat)
+        inv_corners = np.array(inverse(
+            covering._shell_words(lat, 2)[:, covering._CORNER_WORDS]))
+        cells = rng.choice(len(centers), 12, replace=False)
+        inside = (centers[cells, None]
+                  + h * rng.uniform(-1.0, 1.0, (len(cells), 300, 3)))
+        for c, u in ((slice(None), cell_corners), (cells, inside)):
+            pts = tuple(np.moveaxis(u @ M, -1, 0))
+            center = tuple((centers[c] @ M).T)
+            for winv in inv_corners.T:
+                rho_up, zs_up = covering._cell_bounds(center, winv, M)
+                lx, ly, lz = translate(pts, winv)
+                assert np.all(np.hypot(lx, ly) <= rho_up[:, None])
+                assert np.all(np.abs(lz - 0.5 * lx * ly) <= zs_up[:, None])
 
 
 def test_corner_words_are_box_corners():
@@ -266,16 +332,19 @@ def test_corner_words_are_box_corners():
 def test_corner_passes_settle_opt(monkeypatch):
     # at R (1 + 1e-6) every sample of OPT's check passes the table test at
     # one of its box corners, so the sweep over the shell words runs no
-    # pass.  A table pass translates sample arrays: a corner pass by one
-    # word per sample, a sweep pass by one word for all
+    # pass.  A table pass translates point arrays: a cell pass (one
+    # _cell_bounds call) and a corner pass by one word per point, a sweep
+    # pass by one word for all
     lat = lattice_from_params(OPT)
     R = max(circumball(*tet).radius for tet in domain_tetrahedra(lat))
     calls = _count_calls(monkeypatch, "translate")
+    cell_passes = _count_calls(monkeypatch, "_cell_bounds")
     assert verify_covering(lat, R * (1 + 1e-6)).covered
     passes = [t for p, t in calls if isinstance(p[0], np.ndarray)]
-    corner_passes = [t for t in passes if np.ndim(t[0]) == 1]
-    assert 1 <= len(corner_passes) <= 8
-    assert len(passes) == len(corner_passes)
+    per_point = [t for t in passes if np.ndim(t[0]) == 1]
+    assert 1 <= len(cell_passes) <= 2
+    assert 1 <= len(per_point) - len(cell_passes) <= 8
+    assert len(passes) == len(per_point)
 
 
 def test_table_limit_below_theta_table():
@@ -288,6 +357,9 @@ def test_table_limit_below_theta_table():
         zs = np.concatenate([np.linspace(0.0, R, 200001), Z[Z <= R]])
         lim = covering._table_limit(R, margin)(zs)
         assert np.all(lim <= np.interp(zs, Z, X) - margin)
+        # and it never rises in zs, so the points it accepts form a
+        # down-set in (|zeta|, rho), which the cell pass relies on
+        assert np.all(np.diff(lim[:200001]) <= 0.0)
 
 
 def test_halton_points_shared_read_only():
@@ -307,6 +379,21 @@ def test_halton_points_shared_read_only():
                           np.repeat(np.arange(8)[:, None], 2000, axis=1))
     d2 = ((pts[None] - CUBE_CORNERS[order]) ** 2).sum(axis=2)
     assert np.all(np.diff(d2, axis=0) >= 0.0)
+    # the cell layout: each point's cell, the cell centers, and each cell's
+    # two nearest corners of the unit cube, nearest first
+    layout = covering._cell_layout(2000)
+    assert covering._cell_layout(2000) is layout
+    cell_of, centers, nearest = layout
+    for a in layout:
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        cell_of[0] = 0
+    g = covering._GRID_CELLS
+    assert centers.shape == (g ** 3, 3) and nearest.shape == (2, g ** 3)
+    assert np.all(np.abs(pts - centers[cell_of]) <= 0.5 / g + 1e-15)
+    d2 = ((centers[None] - CUBE_CORNERS[:, None]) ** 2).sum(axis=2)
+    near_d2 = np.take_along_axis(d2, nearest.astype(np.intp), axis=0)
+    assert np.array_equal(near_d2, np.sort(d2, axis=0)[:2])
     lat = lattice_from_params(UNIT)
     first = verify_covering(lat, 0.7, 2000)
     assert repr(verify_covering(lat, 0.7, 2000)) == repr(first)
