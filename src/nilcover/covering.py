@@ -110,24 +110,28 @@ def _newton_circumball(points, v0):
     arrays for the 4x4 step costs more than solving it.
 
     Returns (v, F), the last accepted iterate and its residual vector
-    F = distances - radius, or None when the start is out of reach or the
+    F = distances - radius, when it converged: hypot(F) < _RESIDUAL_TOL.
+    None when it did not, when the start is out of reach, or when the
     Jacobian is singular."""
     v = [float(x) for x in v0]
 
     def FJ(v):
+        # residuals, Jacobian and residual norm at v; the norm is inf when
+        # the center is out of reach of a point
         F, J = [], []
         center = v[:3]
-        for q in points:
-            d, g = _distance_and_gradient(center, q)
-            F.append(d - v[3])
-            J.append([*g, -1.0])
-        return F, J
+        try:
+            for q in points:
+                d, g = _distance_and_gradient(center, q)
+                F.append(d - v[3])
+                J.append([*g, -1.0])
+        except NoSolutionError:
+            return F, J, math.inf
+        return F, J, math.hypot(*F)
 
-    try:
-        F, J = FJ(v)
-    except NoSolutionError:
+    F, J, nrm = FJ(v)
+    if nrm == math.inf:
         return None
-    nrm = math.hypot(*F)
     for _ in range(80):
         if nrm < 1e-12:
             break
@@ -135,37 +139,24 @@ def _newton_circumball(points, v0):
         if dv is None:
             return None
         step = 1.0
-        while True:
+        while step >= 1e-8:
             vn = [a + step * d for a, d in zip(v, dv)]
             vn[3] = min(max(vn[3], 1e-6), TWO_PI)
-            try:
-                Fn, Jn = FJ(vn)
-                n_n = math.hypot(*Fn)
-            except NoSolutionError:
-                n_n = math.inf
+            Fn, Jn, n_n = FJ(vn)
             if n_n < nrm:
                 v, F, J, nrm = vn, Fn, Jn, n_n
                 break
             step *= 0.5
-            if step < 1e-8:
-                return v, F
-    return v, F
-
-
-def _converged_root(points, v0):
-    """(v, F) of a circumball Newton run started at v0, v = (center,
-    radius), or None unless it converged."""
-    out = _newton_circumball(points, v0)
-    if out is not None and math.hypot(*out[1]) < _RESIDUAL_TOL:
-        return out
-    return None
+        else:
+            break  # the line search stalled
+    return (v, F) if nrm < _RESIDUAL_TOL else None
 
 
 def circumball(p0: Point, p1: Point, p2: Point, p3: Point) -> CircumballResult:
     """Ball through four points: the center equidistant from all of them.
 
-    Damped Newton on (center, radius), started in up to three stages; the
-    first stage that accepts a root wins.
+    Damped Newton on (center, radius), from at most two starts; the first
+    that gives an accepted root wins.
 
     1. The Euclidean circumcenter in the local frame of the points, unless
        they are coplanar.  The points are left-translated so that their
@@ -177,10 +168,10 @@ def circumball(p0: Point, p1: Point, p2: Point, p3: Point) -> CircumballResult:
        largest Nil distance from m to the points.  Its root is accepted only
        if its radius is at most R2: a root past R2 can belong to a larger
        circumball than the smallest one.
-    3. A coarse grid of starts over an inflated bounding box; among its
-       converged roots the smallest radius wins.
 
     The residual is the largest |distance - radius| at the accepted root.
+    Raises DegenerateGeometryError when neither start gives one and the
+    points are coplanar, and NoSolutionError when neither does otherwise.
     """
     points = [tuple(float(x) for x in p) for p in (p0, p1, p2, p3)]
 
@@ -194,40 +185,16 @@ def circumball(p0: Point, p1: Point, p2: Point, p3: Point) -> CircumballResult:
     C = None if degenerate else _solve(A, b)
     if C is not None:
         R0 = sum(math.dist(q, C) for q in loc) / 4.0
-        best = _converged_root(points, [*translate(C, m), R0])
+        best = _newton_circumball(points, [*translate(C, m), R0])
     if best is None:
         try:
             R2 = max(distance_to_origin(q) for q in loc)
         except NoSolutionError:
             pass  # a point lies beyond 2*pi of m: no restart from there
         else:
-            root = _converged_root(points, [*m, R2])
+            root = _newton_circumball(points, [*m, R2])
             if root is not None and root[0][3] <= R2:
                 best = root
-    if best is None:
-        # grid fallback: centers can sit outside the point cloud, so the
-        # bounding box is inflated by half its diagonal
-        pts = np.array(points)
-        lo = np.min(pts, axis=0)
-        hi = np.max(pts, axis=0)
-        pad = 0.5 * float(np.linalg.norm(hi - lo))
-        lo, hi = lo - pad, hi + pad
-        dmax = 0.0
-        for i in range(4):
-            for j in range(i + 1, 4):
-                d = _distance_and_gradient(points[i], points[j])[0]
-                dmax = max(dmax, d)
-        radii = np.linspace(max(0.5 * dmax, 1e-3), min(2.0 * dmax, TWO_PI), 4)
-        found = []
-        for cx in np.linspace(lo[0], hi[0], 3):
-            for cy in np.linspace(lo[1], hi[1], 3):
-                for cz in np.linspace(lo[2], hi[2], 3):
-                    for r in radii:
-                        root = _converged_root(points, (cx, cy, cz, r))
-                        if root is not None:
-                            found.append(root)
-        if found:
-            best = min(found, key=lambda root: root[0][3])
     if best is None:
         if degenerate:
             raise DegenerateGeometryError(

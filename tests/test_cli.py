@@ -251,6 +251,10 @@ def test_domain_error_exit_two(capsys):
         code, _, err = run_cli(capsys, *action, "--lattice", "nan,0,0,0,1,0")
         assert code == 2
         assert "must be finite" in err
+    code, _, err = run_cli(capsys, "circumball", "0,0,0", "1,0,0", "2,0,0",
+                           "0,1,0")
+    assert code == 2
+    assert "coplanar" in err
 
 
 def test_no_solution_exit_three(capsys):
@@ -259,6 +263,10 @@ def test_no_solution_exit_three(capsys):
                                "--to", to)
         assert code == 3
         assert "error:" in err
+    code, _, err = run_cli(capsys, "circumball", "0,0,0", "20,0,0", "0,20,0",
+                           "0,0,400")
+    assert code == 3
+    assert "error:" in err
 
 
 def test_io_error_exit_four(capsys):

@@ -12,9 +12,9 @@ import pytest
 from scipy.optimize import minimize
 
 from nilcover import covering, geodesic
-from nilcover import (DomainError, LatticeBasis, NoSolutionError, ball_volume,
-                      bound_f, bound_f1, bound_f2, circumball, compose,
-                      covering_density,
+from nilcover import (DegenerateGeometryError, DomainError, LatticeBasis,
+                      NoSolutionError, ball_volume, bound_f, bound_f1,
+                      bound_f2, circumball, compose, covering_density,
                       covering_radius, distance, domain_tetrahedra,
                       equidistant_projection, fundamental_domain,
                       hex_covering_radius, hex_density, hex_family_lattice,
@@ -525,9 +525,8 @@ def test_circumball_centroid_restart(monkeypatch):
         assert abs(rep.covering_radius - R) < 1e-7
         assert per_ball == [1] * 6
     # the corner tetrahedron of this lattice fails its local-frame start;
-    # the centroid start solves it, so it does not reach the grid (its
-    # line searches try four centres outside the 2*pi ball, which the
-    # fallback rejects)
+    # the centroid start solves it (its line searches try four centres
+    # outside the 2*pi ball, which the fallback rejects)
     newtons.clear()
     res = real(*corner_tet(K3))
     assert len(newtons) == 2
@@ -583,13 +582,49 @@ def test_distance_gradient_reuses_newton_jacobian(monkeypatch):
     assert len(evals) == 64
 
 
-def test_circumball_restart_guard():
-    # the centroid start converges here to a circumball of radius 4.78401346,
-    # past its start radius, so the grid runs and finds the smallest
-    res = circumball((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0),
-                     (0.0, 1.0, 0.0))
-    assert abs(res.radius - 4.04049001) < 1e-7
-    assert res.residual <= 1e-8
+COPLANAR = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+
+
+def test_circumball_restart_guard(monkeypatch):
+    # coplanar points have no local-frame start; the centroid start
+    # converges to a circumball of radius 4.78401346, past its start radius
+    # R2, so the guard rejects it and the points are reported coplanar
+    roots = []
+    starts = _count_calls(monkeypatch, "_newton_circumball",
+                          lambda root: roots.append(root) or root)
+    with pytest.raises(DegenerateGeometryError, match="coplanar"):
+        circumball(*COPLANAR)
+    m = tuple(sum(p[i] for p in COPLANAR) / 4.0 for i in range(3))
+    R2 = max(distance(m, p) for p in COPLANAR)
+    assert abs(R2 - 1.31493426) < 1e-7
+    assert [start for _, start in starts] == [[*m, R2]]
+    (v, F), = roots
+    assert abs(v[3] - 4.78401346) < 1e-7 and v[3] > R2
+    assert math.hypot(*F) < 1e-8
+
+
+def test_circumball_at_most_two_newton_runs(monkeypatch):
+    # the local-frame start and the centroid start are the only ones: four
+    # of K3's domain tetrahedra and points out of geodesic reach of each
+    # other fail after them, with circumball's own error
+    newtons = _count_calls(monkeypatch, "_newton_circumball")
+    outcomes = []
+    for pts in (*domain_tetrahedra(lattice_from_params(K3)), COPLANAR,
+                ((0.0, 0.0, 0.0), (20.0, 0.0, 0.0), (0.0, 20.0, 0.0),
+                 (0.0, 0.0, 400.0))):
+        newtons.clear()
+        try:
+            outcomes.append(circumball(*pts).radius)
+        except (DegenerateGeometryError, NoSolutionError) as exc:
+            outcomes.append((type(exc), str(exc)))
+        assert 1 <= len(newtons) <= 2
+    none = (NoSolutionError, "no circumscribed ball of radius <= 2*pi found")
+    assert outcomes == [pytest.approx(1.88874823, abs=1e-8), none, none, none,
+                        none, pytest.approx(1.75318991, abs=1e-8),
+                        (DegenerateGeometryError, "points are coplanar; "
+                         "circumball system is singular"), none]
+    res = verify_covering(lattice_from_params(K3), 1.0, 2000)
+    assert abs(res.witness_distance - 1.1457685362) < 1e-9
 
 
 def test_bound_f_values():
