@@ -26,7 +26,7 @@ from .ball import ball_volume
 from .core import Point, inverse, translate
 from .errors import (DegenerateGeometryError, DomainError, NilcoverError,
                      NoSolutionError)
-from .geodesic import (PI, TWO_PI, _invert_profile, _profile, _profile_array,
+from .geodesic import (PI, TWO_PI, _profile, _profile_array, _profile_fj,
                        _reduced, _relative_target, distance_to_origin)
 from .lattice import (DOMAIN_TETRAHEDRA, Lattice, LatticeBasis, _shell_words,
                       domain_volume, fundamental_domain, lattice_from_params)
@@ -34,33 +34,6 @@ from .lattice import (DOMAIN_TETRAHEDRA, Lattice, LatticeBasis, _shell_words,
 log = logging.getLogger(__name__)
 
 _RESIDUAL_TOL = 1e-8
-
-
-def _distance_and_gradient(c, p):
-    """Distance from center c to point p and its gradient in c.
-
-    Works through the translation taking c to the origin, then
-    differentiates the profile inversion implicitly.
-    """
-    cx, cy, _ = c
-    px, py, _ = p
-    qx, qy, qz = _relative_target(c, p)
-    rho, zeta = _reduced((qx, qy, qz))
-    sg = 1.0 if zeta >= 0 else -1.0
-    th, R, (_, _, dXdt, dXdR, dZdt, dZdR) = _invert_profile(rho, zeta)
-    det = dXdt * dZdR - dXdR * dZdt
-    if det == 0.0:
-        # c = p: the distance has no gradient there
-        raise NoSolutionError("center on a vertex")
-    dRdrho = -dZdt / det
-    dRdzeta = dXdt / det
-    if rho < 1e-12:
-        drho = (0.0, 0.0, 0.0)
-    else:
-        drho = (-qx / rho, -qy / rho, 0.0)
-    dzeta = (0.5 * (cy - py), 0.5 * (cx + px), -1.0)
-    grad = tuple(dRdrho * a + sg * dRdzeta * b for a, b in zip(drho, dzeta))
-    return R, grad
 
 
 @dataclass(frozen=True)
@@ -104,59 +77,85 @@ def _det3(A) -> float:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
+def _circumball_system(points, v):
+    """_newton_circumball's step system at v = (c, R, pitches): rows[i]
+    (dc, dR) = -r[i], d theta_i = pitch[i] . (dc, 1), and nrm, the norm of
+    all f_i, as (rows, r, pitch, nrm); None when a block is singular."""
+    cx, cy, cz, R = v[:4]
+    rows, r, pitch, sq = [], [], [], 0.0
+    for (px, py, pz), t in zip(points, v[4:]):
+        # c^-1 p written out: helper calls would cost more than the kernel
+        qx, qy = px - cx, py - cy
+        rho = math.hypot(qx, qy)
+        zeta = pz - cz - cx * qy - 0.5 * qx * qy
+        X, Z, dXdt, dXdR, dZdt, dZdR = _profile_fj(R, t)
+        det = dXdt * dZdR - dXdR * dZdt
+        if det == 0.0 or not math.isfinite(det):
+            return None
+        f1, f2 = X - rho, Z - zeta
+        xt, xr, zt, zr = dXdt / det, dXdR / det, dZdt / det, dZdR / det
+        # the c-gradients of rho, (ax, ay, 0), and of zeta, (bx, by, -1)
+        ax, ay = (0.0, 0.0) if rho < 1e-12 else (-qx / rho, -qy / rho)
+        bx, by = 0.5 * (cy - py), 0.5 * (cx + px)
+        rows.append([xt * bx - zt * ax, xt * by - zt * ay, -xt, -1.0])
+        r.append(f1 * zt - f2 * xt)
+        pitch.append((ax * zr - bx * xr, ay * zr - by * xr, xr,
+                      f2 * xr - f1 * zr))
+        sq += f1 * f1 + f2 * f2
+    return rows, r, pitch, math.sqrt(sq)
+
+
 def _newton_circumball(points, v0):
-    """Damped Newton on v = (center, radius) for the four points, given as
-    tuples of floats.  It runs on Python floats alone: building numpy
-    arrays for the 4x4 step costs more than solving it.
-
-    Returns (v, F), the last accepted iterate and its residual vector
-    F = distances - radius, when it converged: hypot(F) < _RESIDUAL_TOL.
-    None when it did not, when the start is out of reach, or when the
-    Jacobian is singular."""
+    """Damped Newton on v = (c, R, theta_1..4), the center, the radius and
+    the signed pitches of the four points (tuples of floats), from
+    v0 = (c, R) and theta_i = atan2(zeta_i, rho_i).  Seen from c, point i
+    has horizontal distance rho_i, sheared height zeta_i and residuals
+    f_i = (X, Z)(R, theta_i) - (rho_i, zeta_i); X is even and Z odd in
+    theta.  Eliminating d theta_i from its 2x2 block, of determinant det_i,
+    leaves the row [g_i, -1] (dc, dR) = -r_i, with the distance's gradient
+    g_i = (-dZ/dtheta grad rho_i + dX/dtheta grad zeta_i) / det_i and
+    r_i = (f_i1 dZ/dtheta - f_i2 dX/dtheta) / det_i, the distance minus R
+    to first order.  It runs on Python floats: numpy costs more than the
+    4x4 solve.  The line search keeps R in [1e-6, 2*pi] and
+    |theta_i| <= pi/2; every profile root with R <= 2*pi is minimizing (the
+    geodesic module's section rule), so at a root all four distances are
+    R.  Returns ((c, R), r) when hypot(r) and the norm of all f_i are below
+    _RESIDUAL_TOL; None otherwise.
+    """
     v = [float(x) for x in v0]
-
-    def FJ(v):
-        # residuals, Jacobian and residual norm at v; the norm is inf when
-        # the center is out of reach of a point
-        F, J = [], []
-        center = v[:3]
-        try:
-            for q in points:
-                d, g = _distance_and_gradient(center, q)
-                F.append(d - v[3])
-                J.append([*g, -1.0])
-        except NoSolutionError:
-            return F, J, math.inf
-        return F, J, math.hypot(*F)
-
-    F, J, nrm = FJ(v)
-    if nrm == math.inf:
+    v += [math.atan2(zeta, rho) for rho, zeta in
+          (_reduced(_relative_target(v[:3], q)) for q in points)]
+    system = _circumball_system(points, v)
+    if system is None:
         return None
     for _ in range(80):
-        if nrm < 1e-12:
+        rows, r, pitch, nrm = system
+        if nrm < 1e-13:
             break
-        dv = _solve(J, [-f for f in F])
+        dv = _solve(rows, [-x for x in r])
         if dv is None:
             return None
-        step = 1.0
-        while step >= 1e-8:
+        dv += [a * dv[0] + b * dv[1] + c * dv[2] + e for a, b, c, e in pitch]
+        for step in (0.5 ** k for k in range(27)):  # down to 1.5e-8
             vn = [a + step * d for a, d in zip(v, dv)]
             vn[3] = min(max(vn[3], 1e-6), TWO_PI)
-            Fn, Jn, n_n = FJ(vn)
-            if n_n < nrm:
-                v, F, J, nrm = vn, Fn, Jn, n_n
+            vn[4:] = [min(max(t, -0.5 * PI), 0.5 * PI) for t in vn[4:]]
+            trial = _circumball_system(points, vn)
+            if trial is not None and trial[3] < nrm:
+                v, system = vn, trial
                 break
-            step *= 0.5
         else:
             break  # the line search stalled
-    return (v, F) if nrm < _RESIDUAL_TOL else None
+    _, r, _, nrm = system
+    return (v[:4], r) if max(nrm, math.hypot(*r)) < _RESIDUAL_TOL else None
 
 
 def circumball(p0: Point, p1: Point, p2: Point, p3: Point) -> CircumballResult:
     """Ball through four points: the center equidistant from all of them.
 
-    Damped Newton on (center, radius), from at most two starts; the first
-    that gives an accepted root wins.
+    Damped Newton on the center, the radius and the points' geodesic
+    pitches, from at most two starts; the first accepted root wins.  Its
+    radius is at most 2*pi, so it is each point's exact distance.
 
     1. The Euclidean circumcenter in the local frame of the points, unless
        they are coplanar.  The points are left-translated so that their
@@ -198,12 +197,13 @@ def circumball(p0: Point, p1: Point, p2: Point, p3: Point) -> CircumballResult:
     if best is None:
         if degenerate:
             raise DegenerateGeometryError(
-                "points are coplanar; circumball system is singular")
+                "points are coplanar, so there is no local-frame start, and "
+                "the centroid start found no root within its start radius")
         raise NoSolutionError("no circumscribed ball of radius <= 2*pi found")
 
-    v, F = best
+    v, r = best
     return CircumballResult(center=tuple(v[:3]), radius=v[3],
-                            residual=max(abs(x) for x in F))
+                            residual=max(abs(x) for x in r))
 
 
 @dataclass(frozen=True)

@@ -180,9 +180,9 @@ def geodesic_point(g: GeodesicParams) -> Point:
 def _newton_profile(rho, zeta, th0, R0):
     """Damped Newton on X(R,th) = rho, Z(R,th) = zeta; zeta >= 0 assumed.
 
-    Returns (theta, R, fj) on success, fj the _profile_fj tuple at the
-    root, None on failure.  Each trial point costs one _profile_fj call;
-    the Jacobian of the accepted point is kept for the next step.
+    Returns (theta, R) on success, None on failure.  Each trial point
+    costs one _profile_fj call; the Jacobian of the accepted point is kept
+    for the next step.
     """
     th, R = th0, R0
     fj = _profile_fj(R, th)
@@ -211,7 +211,7 @@ def _newton_profile(rho, zeta, th0, R0):
         else:
             break
     if nrm < _ROOT_TOL:
-        return th, R, fj
+        return th, R
     return None
 
 
@@ -253,8 +253,7 @@ def _bracket_profile(rho, zs):
 
 
 def _invert_profile(rho, zeta):
-    """The minimizing root (theta, s) for the sheared target (rho, zeta),
-    with fj, the _profile_fj tuple at the root: (theta, s, fj).
+    """The minimizing root (theta, s) for the sheared target (rho, zeta).
 
     The root solves the profile system for |zeta|, so theta >= 0; callers
     sign it.  The distance is at least rho, and the longest vertical chord
@@ -263,8 +262,7 @@ def _invert_profile(rho, zeta):
     and the equator have closed forms.  Elsewhere a root with s <= 2*pi is
     minimizing (see the module docstring), so the single Newton run is
     accepted whenever it finds one; when it does not, _bracket_profile
-    finds the root or rejects a target outside the 2*pi ball.  The Newton
-    run returns the fj it accepted; the other paths evaluate it once.
+    finds the root or rejects a target outside the 2*pi ball.
     """
     zs = abs(zeta)
     if not (rho <= TWO_PI + 1e-9 and zs <= 2.5 * PI + 1e-9):
@@ -286,7 +284,7 @@ def _invert_profile(rho, zeta):
     if s > TWO_PI + 1e-9:
         raise NoSolutionError("no geodesic of length <= 2*pi reaches "
                               "(rho=%g, |zeta|=%g)" % (rho, zs))
-    return th, s, _profile_fj(s, th)
+    return th, s
 
 
 def distance_to_origin(p: Point) -> float:
@@ -328,7 +326,7 @@ def geodesic_between(p1: Point, p2: Point) -> GeodesicSolveResult:
     rho, zeta = _reduced(target)
     if rho < 1e-14 and abs(zeta) < 1e-14:
         return GeodesicSolveResult(GeodesicParams(0.0, 0.0, 0.0), 0.0)
-    theta, s, _ = _invert_profile(rho, zeta)
+    theta, s = _invert_profile(rho, zeta)
     best = _params_from_root(theta, s, target)
     residual = math.dist(geodesic_point(best), target)
     return GeodesicSolveResult(best, residual)

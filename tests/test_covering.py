@@ -1,11 +1,13 @@
 """Circumballs, covering radii, densities, bounds."""
 
 import functools
+import importlib
 import logging
 import math
 import random
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,17 +87,23 @@ def test_distance_gradient_matches_central_differences():
     # to c0, which the closed forms solve
     pairs += [(c0, translate((0.0, 0.0, 1.1), c0)),
               (c0, translate((0.6, 0.5, 0.15), c0))]
+    # at the exact radius and pitch of p seen from c, the circumball
+    # Newton's eliminated row for p is [gradient of distance(c, p), -1],
+    # and its distance error is 0
     h = 1e-6
     for c, p in pairs:
-        d, grad = covering._distance_and_gradient(c, p)
-        assert d == distance(c, p)
+        d = distance(c, p)
+        rho, zeta = geodesic._reduced(geodesic._relative_target(c, p))
+        theta = math.copysign(geodesic._invert_profile(rho, zeta)[0], zeta)
+        (row,), (r,), _, _ = covering._circumball_system([p], [*c, d, theta])
+        assert row[3] == -1.0 and abs(r) < 1e-12
         for i in range(3):
             cp = tuple(x + h * (j == i) for j, x in enumerate(c))
             cm = tuple(x - h * (j == i) for j, x in enumerate(c))
             fd = (distance(cp, p) - distance(cm, p)) / (2.0 * h)
-            assert abs(grad[i] - fd) < 1e-6
-    with pytest.raises(NoSolutionError):
-        covering._distance_and_gradient(c0, c0)
+            assert abs(row[i] - fd) < 1e-6
+    # c = p: the distance has no gradient there, and the block is singular
+    assert covering._circumball_system([c0], [*c0, 0.0, 0.5 * math.pi]) is None
 
 
 def test_all_six_tetrahedra_congruent_at_optimum():
@@ -524,22 +532,30 @@ def test_circumball_centroid_restart(monkeypatch):
         rep = covering_density(lattice_from_params(basis))
         assert abs(rep.covering_radius - R) < 1e-7
         assert per_ball == [1] * 6
-    # the corner tetrahedron of this lattice fails its local-frame start;
-    # the centroid start solves it (its line searches try four centres
-    # outside the 2*pi ball, which the fallback rejects)
+    # the corner tetrahedron of this lattice failed its local-frame start
+    # when each Newton evaluation solved four profile Newtons; the joint
+    # Newton solves it from there.  The centroid start solves it too, with
+    # a radius within its start radius R2
     newtons.clear()
-    res = real(*corner_tet(K3))
-    assert len(newtons) == 2
+    pts = [tuple(float(x) for x in p) for p in corner_tet(K3)]
+    res = real(*pts)
+    assert len(newtons) == 1
     assert abs(res.radius - 1.88874823) < 1e-7
     assert res.residual <= 1e-8
+    m = tuple(sum(p[i] for p in pts) / 4.0 for i in range(3))
+    R2 = max(distance(m, p) for p in pts)
+    v, r = covering._newton_circumball(pts, [*m, R2])
+    assert abs(v[3] - 1.88874823) < 1e-7 and v[3] <= R2
+    assert math.hypot(*r) < 1e-8
     assert sweeps == []
 
 
 def test_circumball_newton_evaluations_on_opt(monkeypatch):
-    # the local-frame start reaches each of OPT's six circumballs in a few
-    # Newton evaluations of four distances each; a Euclidean start in
-    # global coordinates takes 17 and 20 on two of them
-    evals = _count_calls(monkeypatch, "_distance_and_gradient")
+    # the local-frame start reaches each of OPT's six circumballs in at
+    # most six Newton evaluations of one profile kernel call per point (a
+    # Euclidean start in global coordinates took 17 and 20 evaluations on
+    # two of them, each solving four profile Newtons)
+    evals = _count_calls(monkeypatch, "_profile_fj")
     for tet in domain_tetrahedra(lattice_from_params(OPT)):
         evals.clear()
         assert abs(circumball(*tet).radius - 0.90293941) < 1e-6
@@ -559,27 +575,34 @@ def test_float_solve_matches_numpy():
 
 
 def test_newton_circumball_singular_jacobian(monkeypatch):
-    # equal gradients at all four points make the Jacobian singular, which
+    # a profile kernel with dX/dtheta = 0 leaves every eliminated row
+    # without a z-part, so the 4x4 row system is singular, which
     # np.linalg.solve rejects; the Newton run gives up with None
-    monkeypatch.setattr(covering, "_distance_and_gradient",
-                        lambda c, p: (p[0], (0.5, 0.5, 0.5)))
+    monkeypatch.setattr(covering, "_profile_fj",
+                        lambda R, theta: (0.0, 0.0, 0.0, 1.0, 1.0, 0.0))
     pts = [(float(i), 0.0, 0.0) for i in range(4)]
-    J = np.array([[0.5, 0.5, 0.5, -1.0]] * 4)
+    v0 = (0.0, 0.0, 0.0, 1.0)
+    rows, _, _, nrm = covering._circumball_system(pts, [*v0, *[0.0] * 4])
+    assert [row[2] for row in rows] == [0.0] * 4 and nrm > 0.0
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(J, np.ones(4))
-    assert covering._solve(J.tolist(), [1.0] * 4) is None
-    assert covering._newton_circumball(pts, (0.0, 0.0, 0.0, 1.0)) is None
+        np.linalg.solve(np.array(rows), np.ones(4))
+    assert covering._solve(rows, [1.0] * 4) is None
+    assert covering._newton_circumball(pts, v0) is None
 
 
 def test_distance_gradient_reuses_newton_jacobian(monkeypatch):
-    # the profile inversion returns the Jacobian its Newton run accepted,
-    # so a gradient costs no profile evaluation of its own
+    # a circumball Newton evaluation is one profile kernel call per point,
+    # whose Jacobian gives both the step and the distance gradient; no
+    # profile Newton runs inside it (480 and 64 kernel calls when each
+    # evaluation solved four profile Newtons)
     evals = _count_calls(monkeypatch, "_profile_fj", module=geodesic)
+    in_circumball = _count_calls(monkeypatch, "_profile_fj")
     covering_density(lattice_from_params(OPT))
-    assert len(evals) == 480
+    assert (len(in_circumball), len(evals)) == (120, 96)
     evals.clear()
+    in_circumball.clear()
     circumball(*corner_tet(hex_family_lattice(1.26001585)))
-    assert len(evals) == 64
+    assert (len(in_circumball), len(evals)) == (20, 0)
 
 
 COPLANAR = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0), (0.0, 1.0, 0.0))
@@ -592,7 +615,8 @@ def test_circumball_restart_guard(monkeypatch):
     roots = []
     starts = _count_calls(monkeypatch, "_newton_circumball",
                           lambda root: roots.append(root) or root)
-    with pytest.raises(DegenerateGeometryError, match="coplanar"):
+    with pytest.raises(DegenerateGeometryError,
+                       match="coplanar, so there is no local-frame start"):
         circumball(*COPLANAR)
     m = tuple(sum(p[i] for p in COPLANAR) / 4.0 for i in range(3))
     R2 = max(distance(m, p) for p in COPLANAR)
@@ -621,10 +645,39 @@ def test_circumball_at_most_two_newton_runs(monkeypatch):
     none = (NoSolutionError, "no circumscribed ball of radius <= 2*pi found")
     assert outcomes == [pytest.approx(1.88874823, abs=1e-8), none, none, none,
                         none, pytest.approx(1.75318991, abs=1e-8),
-                        (DegenerateGeometryError, "points are coplanar; "
-                         "circumball system is singular"), none]
+                        (DegenerateGeometryError, "points are coplanar, so "
+                         "there is no local-frame start, and the centroid "
+                         "start found no root within its start radius"),
+                        none]
     res = verify_covering(lattice_from_params(K3), 1.0, 2000)
     assert abs(res.witness_distance - 1.1457685362) < 1e-9
+
+
+def _density_bases(monkeypatch, seed):
+    # the lattices of the benchmark's density workload at a seed, from its
+    # own input builder
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    monkeypatch.setattr(workloads, "_density_op",
+                        lambda label, basis, *args: basis)
+    return workloads.build("density", seed, 1.0)
+
+
+def test_circumballs_exact_on_density_inputs(monkeypatch):
+    # every domain tetrahedron of the density inputs of seeds 0 and 7919,
+    # and 20 hex-family corners: each vertex lies at the radius from the
+    # centre by exact distance, and the reported residual is small
+    tets = [tet for seed in (0, 7919)
+            for basis in _density_bases(monkeypatch, seed)
+            for tet in domain_tetrahedra(lattice_from_params(basis))]
+    tets += [corner_tet(hex_family_lattice(t11))
+             for t11 in np.linspace(0.9, 1.7, 20).tolist()]
+    assert len(tets) == 2 * 23 * 6 + 20
+    for tet in tets:
+        res = circumball(*tet)
+        assert res.residual <= 1e-8
+        for p in tet:
+            assert abs(distance(res.center, p) - res.radius) <= 1e-12
 
 
 def test_bound_f_values():
