@@ -168,8 +168,6 @@ def build_parser() -> _Parser:
 
     sp = cmd("circumball", help="ball through four points")
     sp.add_argument("points", type=_point, nargs=4, metavar="X,Y,Z")
-    sp.add_argument("--tol", type=float, default=1e-8,
-                    help="largest acceptable equidistance residual")
 
     sp = cmd("covering", help="covering radius, density, sampling check")
     sp.add_argument("action", choices=["radius", "density", "verify"])
@@ -257,10 +255,6 @@ def run(args) -> str:
 
     if args.command == "circumball":
         res = covering.circumball(*args.points)
-        if res.residual > args.tol:
-            raise NoSolutionError(
-                "circumball residual %g exceeds tolerance %g"
-                % (res.residual, args.tol))
         return _render({"center": list(res.center), "radius": res.radius,
                         "residual": res.residual}, args.json)
 

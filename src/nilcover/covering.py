@@ -29,7 +29,8 @@ from .errors import (DegenerateGeometryError, DomainError, NilcoverError,
 from .geodesic import (PI, TWO_PI, _profile, _profile_array, _profile_fj,
                        _reduced, _relative_target, distance_to_origin)
 from .lattice import (DOMAIN_TETRAHEDRA, Lattice, LatticeBasis, _shell_words,
-                      domain_volume, fundamental_domain, lattice_from_params)
+                      domain_tetrahedra, domain_volume, fundamental_domain,
+                      lattice_from_params)
 
 log = logging.getLogger(__name__)
 
@@ -222,14 +223,13 @@ def _circumcenter_probes(lattice: Lattice) -> list:
     """Circumcenters of the domain tetrahedra: the deepest points of the
     domain, where a too-small radius shows first.  Random sampling alone
     would need astronomically many points to land in those pockets."""
-    verts = fundamental_domain(lattice).as_dict()
     probes = []
-    for tet in DOMAIN_TETRAHEDRA:
+    for labels, tet in zip(DOMAIN_TETRAHEDRA, domain_tetrahedra(lattice)):
         try:
-            probes.append(circumball(*[verts[label] for label in tet]).center)
+            probes.append(circumball(*tet).center)
         except (DegenerateGeometryError, NoSolutionError) as exc:
             log.warning("no circumball for tetrahedron (%s): %s; its probe "
-                        "is dropped", ", ".join(tet), exc)
+                        "is dropped", ", ".join(labels), exc)
     return probes
 
 
@@ -276,8 +276,9 @@ def verify_covering(lattice: Lattice, R: float,
     resampling error, so it never accepts a sample that the tabulated
     profile lowered by a 1e-6 margin rejects.  Each sample is tested
     against the lattice points at the corners of the domain box first,
-    nearest first, and only then against the other shell points, nearest
-    to the box center first; the order changes no result.
+    nearest to the center of its grid cell first (see below), and only
+    then against all shell points, nearest to the box center first; the
+    order changes no result.
 
     A cell pass settles whole cells of samples before that.  A grid of
     _GRID_CELLS^3 cells is laid over the unit Halton cube, and each cell's
@@ -350,10 +351,11 @@ def _table_limit(R: float, margin: float):
     return lambda zs: lookup(low, steps, zs)
 
 
-def _table_survivors(sx, sy, sz, inv_words, R: float, margin: float,
-                     corners=None, cells=None) -> np.ndarray:
-    """Indices of the points (coordinate arrays sx, sy, sz) that a sheared
-    profile-table test cannot place within R - margin of a shell word.
+def _table_survivors(sx, sy, sz, cell_of, inv_words, inv_corners, cells,
+                     R: float, margin: float) -> np.ndarray:
+    """Indices of the points (coordinate arrays sx, sy, sz, lying in the
+    grid cells cell_of) that a sheared profile-table test cannot place
+    within R - margin of a shell word.
 
     A point passes when its horizontal distance rho to a word is within
     _table_limit at its |zeta|; distances are compared squared, and the
@@ -361,20 +363,16 @@ def _table_survivors(sx, sy, sz, inv_words, R: float, margin: float,
     only points with rho <= R - margin and |zeta| <= R can pass, and the
     table is read for those alone.
 
-    corners, when given, is (order, inv_corners), a few shell words that
-    every point tries first: pass j tests point i against column
-    order[j, i] of the (3, m) array inv_corners.  Each test is the same as
-    in the sweep over inv_words that follows, so the survivors do not
-    depend on corners; most points pass at the first corner they try.
-
-    cells, when given with corners, is (cell_of, centers, nearest, M): the
-    grid cell of each point, the cell centers as a (3, C) array, the
-    columns of inv_corners that each cell tries, as a (2, C) array, and
-    the box the cells fill, with rows T1, T2, T3.  A cell whose center
-    passes the test at one of its corners, with the raised rho and |zeta|
-    of _cell_bounds, settles all its points (see verify_covering), which
-    skip the passes that follow; the survivors do not depend on cells
-    either.
+    cells is (centers, order, M): the cell centers as a (3, C) array; for
+    each cell, the columns of inv_corners (the inverse box corner words)
+    nearest to its center first, as an (8, C) array; and the box the cells
+    fill, with rows T1, T2, T3.  First a cell whose center passes the test
+    at one of its two nearest corners, with the raised rho and |zeta| of
+    _cell_bounds, settles all its points (see verify_covering).  Then pass
+    j tests each point left at corner order[j] of its cell; most points
+    pass at the first.  Last, a sweep tests the points left against every
+    word of inv_words.  A corner test is one the sweep makes, so the
+    survivors are those of the sweep alone.
     """
     limit = _table_limit(R, margin)
     cut2 = (R - margin) ** 2
@@ -390,39 +388,24 @@ def _table_survivors(sx, sy, sz, inv_words, R: float, margin: float,
         lx, ly, lz = translate((sx[alive], sy[alive], sz[alive]), winv)
         return alive[~accepted(lx * lx + ly * ly, np.abs(lz - 0.5 * lx * ly))]
 
-    alive = np.arange(len(sx))
-    if corners is not None:
-        order, inv_corners = corners
-        if cells is not None:
-            cell_of, centers, nearest, M = cells
-            open_cells = np.arange(centers.shape[1])
-            for row in nearest:
-                rho, zs = _cell_bounds(
-                    centers[:, open_cells],
-                    inv_corners.take(row[open_cells], axis=1), M)
-                open_cells = open_cells[~accepted(rho * rho, zs)]
-            is_open = np.zeros(centers.shape[1], bool)
-            is_open[open_cells] = True
-            alive = np.flatnonzero(is_open[cell_of])
-        for row in order:
-            if len(alive) == 0:
-                break
-            alive = unsettled(alive, inv_corners.take(row[alive], axis=1))
+    centers, order, M = cells
+    open_cells = np.arange(centers.shape[1])
+    for row in order[:2]:
+        rho, zs = _cell_bounds(centers[:, open_cells],
+                               inv_corners.take(row[open_cells], axis=1), M)
+        open_cells = open_cells[~accepted(rho * rho, zs)]
+    is_open = np.zeros(centers.shape[1], bool)
+    is_open[open_cells] = True
+    alive = np.flatnonzero(is_open[cell_of])
+    for row in order:
+        if len(alive) == 0:
+            break
+        alive = unsettled(alive, inv_corners.take(row[cell_of[alive]], axis=1))
     for winv in zip(*inv_words):
         if len(alive) == 0:
             break
         alive = unsettled(alive, winv)
     return alive
-
-
-@functools.lru_cache(maxsize=4)
-def _unit_halton(n: int) -> np.ndarray:
-    """The first n points of the unscrambled 3-d Halton sequence in the unit
-    cube.  They depend on n alone; the cached array is shared, so it is
-    read-only."""
-    pts = qmc.Halton(d=3, scramble=False).random(n)
-    pts.setflags(write=False)
-    return pts
 
 
 # columns of _shell_words(lattice, 2), which is lexicographic in (a, b, c)
@@ -432,57 +415,42 @@ def _unit_halton(n: int) -> np.ndarray:
 _CORNER_WORDS = [25 * (a + 2) + 5 * (b + 2) + c + 2
                  for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 
-
-def _nearest_corners(pts: np.ndarray) -> np.ndarray:
-    """The corners (a, b, c) of the unit cube, as 4a + 2b + c, nearest first
-    for each row of the (m, 3) array pts: entry (j, i) is the j-th nearest
-    corner of point i."""
-    order = np.empty((8, len(pts)), np.uint8)
-    # in chunks, so the float and index temporaries stay small
-    for lo in range(0, len(pts), 4096):
-        u = pts[lo:lo + 4096]
-        # squared distance along each axis to the face at 0 and at 1
-        sq = np.stack([u * u, (1.0 - u) ** 2])
-        d2 = (sq[:, None, None, :, 0] + sq[None, :, None, :, 1]
-              + sq[None, None, :, :, 2])
-        order[:, lo:lo + 4096] = np.argsort(d2.reshape(8, -1), axis=0,
-                                            kind="stable")
-    return order
-
-
-@functools.lru_cache(maxsize=4)
-def _corner_order(n: int) -> np.ndarray:
-    """_nearest_corners of the first n Halton points.  Like _unit_halton it
-    depends on n alone and is shared and read-only."""
-    order = _nearest_corners(_unit_halton(n))
-    order.setflags(write=False)
-    return order
-
-
 # cells per axis of the grid that the cell pass of the sampling check lays
-# over the unit Halton cube
+# over the unit Halton cube; even, see _sample_layout
 _GRID_CELLS = 12
 
 
 @functools.lru_cache(maxsize=4)
-def _cell_layout(n: int):
-    """The cell pass's grid for the first n Halton points: (cell_of, centers,
-    nearest).  cell_of holds each point's cell, (i G + j) G + k for the
-    cell [i, i + 1] x [j, j + 1] x [k, k + 1] / G, G = _GRID_CELLS;
-    centers is the (G^3, 3) array of cell centers; column c of the (2, G^3)
-    array nearest holds the two corners of the unit cube nearest to center
-    c, nearest first, as 4a + 2b + c.  Like _corner_order it depends on n
-    alone and is shared and read-only."""
+def _sample_layout(n: int):
+    """The sampling check's layout of n samples in the unit cube, as
+    read-only arrays (pts, cell_of, centers, order).  It depends on n
+    alone, and the cached arrays are shared.
+
+    pts holds the first n points of the unscrambled 3-d Halton sequence,
+    one per row.  cell_of holds each point's cell, (i G + j) G + k for the
+    cell [i, i + 1] x [j, j + 1] x [k, k + 1] / G, G = _GRID_CELLS, and
+    centers the (G^3, 3) cell centers.  Column c of the (8, G^3) array
+    order lists the corners of the unit cube, as 4a + 2b + c, nearest to
+    center c first.  G is even, so a cell lies in one half of the cube
+    along every axis, and its nearest corner is nearest to each of its
+    points too (tied for a point on a midplane).
+    """
     g = _GRID_CELLS
-    ijk = np.minimum((_unit_halton(n) * g).astype(np.intp), g - 1)
+    pts = qmc.Halton(d=3, scramble=False).random(n)
+    ijk = np.minimum((pts * g).astype(np.intp), g - 1)
     cell_of = (ijk[:, 0] * g + ijk[:, 1]) * g + ijk[:, 2]
     mid = (np.arange(g) + 0.5) / g
     centers = np.stack(np.meshgrid(mid, mid, mid, indexing="ij"),
                        axis=-1).reshape(-1, 3)
-    nearest = _nearest_corners(centers)[:2].copy()
-    for a in (cell_of, centers, nearest):
+    # squared distance along each axis to the face at 0 and at 1
+    sq = np.stack([centers * centers, (1.0 - centers) ** 2])
+    d2 = (sq[:, None, None, :, 0] + sq[None, :, None, :, 1]
+          + sq[None, None, :, :, 2])
+    order = np.argsort(d2.reshape(8, -1), axis=0,
+                       kind="stable").astype(np.uint8)
+    for a in (pts, cell_of, centers, order):
         a.setflags(write=False)
-    return cell_of, centers, nearest
+    return pts, cell_of, centers, order
 
 
 def _cell_bounds(centers, winv, M: np.ndarray):
@@ -521,12 +489,15 @@ def _sample_check(lattice: Lattice, R: float, n_samples: int,
     """The sampling check of verify_covering, with the probes given."""
     fd = fundamental_domain(lattice)
     M = np.array([fd.T1, fd.T2, fd.T3], float)
-    smp = _unit_halton(n_samples) @ M
+    pts, cell_of, centers, order = _sample_layout(n_samples)
+    sx, sy, sz = (pts @ M).T.copy()
     # nearest words first, so most samples pass the table test within a few
     # words; no result depends on the word order
     words = _shell_words(lattice, 2)
     near = np.argsort(np.linalg.norm(words.T - 0.5 * M.sum(axis=0), axis=1))
     inv_words = inverse(words[:, near])
+    inv_corners = np.array(inverse(words[:, _CORNER_WORDS]))
+    cells = ((centers @ M).T, order, M)
 
     margin = 1e-6
     worst_d = -1.0
@@ -542,17 +513,10 @@ def _sample_check(lattice: Lattice, R: float, n_samples: int,
                 worst_d, worst_p = d, p
 
     measure(probes)
-    sx, sy, sz = smp[:, 0].copy(), smp[:, 1].copy(), smp[:, 2].copy()
-    # the table test settles the bulk, at the radius verify_covering
-    # explains: first whole cells of samples, then each sample at the box
-    # corners nearest to it
-    order = _corner_order(n_samples)
-    inv_corners = np.array(inverse(words[:, _CORNER_WORDS]))
-    cell_of, centers, nearest = _cell_layout(n_samples)
+    # the table test settles the bulk, at the radius verify_covering explains
     T = min(max(R, worst_d), PI)
-    alive = _table_survivors(sx, sy, sz, inv_words, T, margin,
-                             (order, inv_corners),
-                             (cell_of, (centers @ M).T, nearest, M))
+    alive = _table_survivors(sx, sy, sz, cell_of, inv_words, inv_corners,
+                             cells, T, margin)
     while len(alive):
         chunk, alive = alive[:64], alive[64:]
         measure((float(sx[i]), float(sy[i]), float(sz[i]))
@@ -562,8 +526,8 @@ def _sample_check(lattice: Lattice, R: float, n_samples: int,
             # worst distance found so far
             T = min(worst_d, PI)
             alive = alive[_table_survivors(
-                sx[alive], sy[alive], sz[alive], inv_words, T, margin,
-                (order[:, alive], inv_corners))]
+                sx[alive], sy[alive], sz[alive], cell_of[alive], inv_words,
+                inv_corners, cells, T, margin)]
     if worst_p is None:
         return CoverageResult(covered=True, radius=R, samples=n_samples)
     return CoverageResult(covered=False, radius=R, samples=n_samples,
@@ -586,9 +550,7 @@ def covering_radius(lattice: Lattice) -> float:
     if that check fails too, as when a point lies beyond 2*pi of the
     lattice.
     """
-    verts = fundamental_domain(lattice).as_dict()
-    balls = [circumball(*[verts[label] for label in tet])
-             for tet in DOMAIN_TETRAHEDRA]
+    balls = [circumball(*tet) for tet in domain_tetrahedra(lattice)]
     R = max(b.radius for b in balls)
     probes = [b.center for b in balls]
 

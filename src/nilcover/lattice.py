@@ -53,7 +53,7 @@ class LatticeBasis:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LatticeBasis":
-        return cls(tuple(data["t1"]), tuple(data["t2"]), int(data.get("k", 1)))
+        return cls(tuple(data["t1"]), tuple(data["t2"]), data.get("k", 1))
 
 
 @dataclass(frozen=True)

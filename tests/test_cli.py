@@ -143,6 +143,17 @@ def test_lattice_file_is_json_only(tmp_path, capsys):
     assert "invalid lattice file" in err
 
 
+def test_lattice_file_rejects_fractional_k(tmp_path, capsys):
+    # k = 1.5 is no fibre divisor; the file must not be read as k = 1
+    f = tmp_path / "lat.json"
+    f.write_text(json.dumps({"t1": [1.0, 0.0, 0.0], "t2": [0.0, 1.0, 0.0],
+                             "k": 1.5}))
+    code, _, err = run_cli(capsys, "lattice", "volume", "--lattice-file",
+                           str(f))
+    assert code == 2
+    assert "k must be a positive integer" in err
+
+
 def test_circumball(capsys):
     code, out, _ = run_cli(capsys, "circumball", "0,0,0",
                            "1.30633820,0,0.73894461",

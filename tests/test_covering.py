@@ -139,9 +139,9 @@ def test_verify_covering_tight():
 
 
 def test_witness_distance_far_below_radius():
-    # at R = 0.65 several samples have no lattice point within the exact
-    # pass's search radius; the witness must be the worst of them (0.69928
-    # was the first one found), and the reported distance its own
+    # at R = 0.65 several samples are uncovered; the witness must be the
+    # worst of them (0.69928 was the first one found), and the reported
+    # distance its exact distance to the shell lattice points
     lat = lattice_from_params(UNIT)
     res = verify_covering(lat, 0.65, 2000)
     assert not res.covered
@@ -273,27 +273,28 @@ def _box(lat):
 
 
 def test_table_survivors_match_unfiltered_reference():
-    # without and with the corner passes, and with the cell pass before them
+    # the cell, corner and sweep passes keep exactly the reference's
+    # survivors, on all points and, as in the exact pass's rerun, on a
+    # subset of them
+    pts, cell_of, centers, order = covering._sample_layout(4000)
+    sub = np.flatnonzero(np.random.default_rng(3).random(4000) < 0.3)
     for basis in (OPT, UNIT, K2, K3):
         lat = lattice_from_params(basis)
         M = _box(lat)
-        sx, sy, sz = (covering._unit_halton(4000) @ M).T.copy()
+        sx, sy, sz = (pts @ M).T.copy()
         words = covering._shell_words(lat, 2)
         inv_words = inverse(words)
-        corners = (covering._corner_order(4000),
-                   np.array(inverse(words[:, covering._CORNER_WORDS])))
-        cell_of, centers, nearest = covering._cell_layout(4000)
-        cells = (cell_of, (centers @ M).T, nearest, M)
+        inv_corners = np.array(inverse(words[:, covering._CORNER_WORDS]))
+        cells = ((centers @ M).T, order, M)
         for R in (0.3, 0.7, 0.90293941 * (1 + 1e-6), 1.5, math.pi):
             want = _reference_survivors(sx, sy, sz, inv_words, R, 1e-6)
-            got = covering._table_survivors(sx, sy, sz, inv_words, R, 1e-6)
+            got = covering._table_survivors(sx, sy, sz, cell_of, inv_words,
+                                            inv_corners, cells, R, 1e-6)
             assert np.array_equal(got, want)
-            got = covering._table_survivors(sx, sy, sz, inv_words, R, 1e-6,
-                                            corners)
-            assert np.array_equal(got, want)
-            got = covering._table_survivors(sx, sy, sz, inv_words, R, 1e-6,
-                                            corners, cells)
-            assert np.array_equal(got, want)
+            got = covering._table_survivors(
+                sx[sub], sy[sub], sz[sub], cell_of[sub], inv_words,
+                inv_corners, cells, R, 1e-6)
+            assert np.array_equal(sub[got], np.intersect1d(want, sub))
 
 
 def test_cell_bounds_hold_inside_cells():
@@ -302,7 +303,7 @@ def test_cell_bounds_hold_inside_cells():
     # word; some cell corners attain the bounds before rounding
     rng = np.random.default_rng(23)
     h = 0.5 / covering._GRID_CELLS
-    _, centers, _ = covering._cell_layout(2000)
+    centers = covering._sample_layout(2000)[2]
     cell_corners = centers[:, None] + h * (2.0 * CUBE_CORNERS - 1.0)
     for basis in (OPT, UNIT, K2, K3):
         lat = lattice_from_params(basis)
@@ -371,37 +372,30 @@ def test_table_limit_below_theta_table():
 
 
 def test_halton_points_shared_read_only():
-    pts = covering._unit_halton(2000)
-    assert not pts.flags.writeable
-    with pytest.raises(ValueError):
-        pts[0, 0] = 1.0
-    # the per-sample corner order: one byte per sample and corner, each
-    # column the eight corners of the unit cube nearest first
-    order = covering._corner_order(2000)
-    assert order.dtype == np.uint8 and order.shape == (8, 2000)
-    assert not order.flags.writeable
-    assert covering._corner_order(2000) is order
-    with pytest.raises(ValueError):
-        order[0, 0] = 1
-    assert np.array_equal(np.sort(order, axis=0),
-                          np.repeat(np.arange(8)[:, None], 2000, axis=1))
-    d2 = ((pts[None] - CUBE_CORNERS[order]) ** 2).sum(axis=2)
-    assert np.all(np.diff(d2, axis=0) >= 0.0)
-    # the cell layout: each point's cell, the cell centers, and each cell's
-    # two nearest corners of the unit cube, nearest first
-    layout = covering._cell_layout(2000)
-    assert covering._cell_layout(2000) is layout
-    cell_of, centers, nearest = layout
+    layout = covering._sample_layout(2000)
+    assert covering._sample_layout(2000) is layout
+    pts, cell_of, centers, order = layout
     for a in layout:
         assert not a.flags.writeable
     with pytest.raises(ValueError):
+        pts[0, 0] = 1.0
+    with pytest.raises(ValueError):
         cell_of[0] = 0
+    # every point lies in its cell
     g = covering._GRID_CELLS
-    assert centers.shape == (g ** 3, 3) and nearest.shape == (2, g ** 3)
+    assert centers.shape == (g ** 3, 3)
     assert np.all(np.abs(pts - centers[cell_of]) <= 0.5 / g + 1e-15)
-    d2 = ((centers[None] - CUBE_CORNERS[:, None]) ** 2).sum(axis=2)
-    near_d2 = np.take_along_axis(d2, nearest.astype(np.intp), axis=0)
-    assert np.array_equal(near_d2, np.sort(d2, axis=0)[:2])
+    # each column of the cell order: the eight corners of the unit cube,
+    # one byte each, nearest to the cell center first
+    assert order.dtype == np.uint8 and order.shape == (8, g ** 3)
+    assert np.array_equal(np.sort(order, axis=0),
+                          np.repeat(np.arange(8)[:, None], g ** 3, axis=1))
+    d2 = ((centers[None] - CUBE_CORNERS[order]) ** 2).sum(axis=2)
+    assert np.all(np.diff(d2, axis=0) >= 0.0)
+    # and a cell's nearest corner is nearest to each of its points
+    d2 = ((pts[None] - CUBE_CORNERS[:, None]) ** 2).sum(axis=2)
+    first = d2[order[0, cell_of], np.arange(len(pts))]
+    assert np.array_equal(first, d2.min(axis=0))
     lat = lattice_from_params(UNIT)
     first = verify_covering(lat, 0.7, 2000)
     assert repr(verify_covering(lat, 0.7, 2000)) == repr(first)
