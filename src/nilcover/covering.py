@@ -35,6 +35,7 @@ from .lattice import (DOMAIN_TETRAHEDRA, Lattice, LatticeBasis, _shell_words,
 log = logging.getLogger(__name__)
 
 _RESIDUAL_TOL = 1e-8
+_STEPS = tuple(0.5 ** k for k in range(27))  # line-search steps, to 1.5e-8
 
 
 @dataclass(frozen=True)
@@ -44,38 +45,19 @@ class CircumballResult:
     residual: float
 
 
-def _solve(A, b):
-    """x with A x = b, for a small square system given as lists of floats:
-    Gaussian elimination with partial pivoting.  None when a pivot is
-    exactly 0, where np.linalg.solve raises LinAlgError."""
-    n = len(b)
-    rows = [[*row, bi] for row, bi in zip(A, b)]
-    for k in range(n):
-        piv, big = k, abs(rows[k][k])
-        for i in range(k + 1, n):
-            if abs(rows[i][k]) > big:
-                piv, big = i, abs(rows[i][k])
-        if big == 0.0:
-            return None
-        top = rows[piv]
-        rows[piv], rows[k] = rows[k], top
-        for row in rows[k + 1:]:
-            f = row[k] / top[k]
-            for j in range(k + 1, n + 1):
-                row[j] -= f * top[j]
-    x = [0.0] * n
-    for k in reversed(range(n)):
-        row = rows[k]
-        s = row[n]
-        for j in range(k + 1, n):
-            s -= row[j] * x[j]
-        x[k] = s / row[k]
-    return x
-
-
-def _det3(A) -> float:
+def _solve3(A, y):
+    """(det, x) for a 3x3 A given as lists of floats: its determinant, and
+    x with A x = y by Cramer's rule, or None when det is exactly 0, where
+    np.linalg.solve raises LinAlgError."""
     (a, b, c), (d, e, f), (g, h, i) = A
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    p, q, r = e * i - f * h, f * g - d * i, d * h - e * g
+    det = a * p + b * q + c * r
+    if det == 0.0:
+        return det, None
+    u, v, w = y[0] / det, y[1] / det, y[2] / det
+    return det, [u * p + v * (c * h - b * i) + w * (b * f - c * e),
+                 u * q + v * (a * i - c * g) + w * (c * d - a * f),
+                 u * r + v * (b * g - a * h) + w * (a * e - b * d)]
 
 
 def _circumball_system(points, v):
@@ -106,6 +88,16 @@ def _circumball_system(points, v):
     return rows, r, pitch, math.sqrt(sq)
 
 
+def _eliminated_step(rows, r):
+    """(dc, dR) with rows (dc, dR) = -r for _circumball_system's rows
+    [g_i, -1]: row i minus row 0 leaves (g_i - g_0) dc = r_0 - r_i, and
+    dR = g_0 dc + r_0.  None when that 3x3 system is exactly singular."""
+    (g0, g1, g2, _), r0 = rows[0], r[0]
+    _, dc = _solve3([[x - g0, y - g1, z - g2] for x, y, z, _ in rows[1:]],
+                    [r0 - x for x in r[1:]])
+    return dc and [*dc, g0 * dc[0] + g1 * dc[1] + g2 * dc[2] + r0]
+
+
 def _newton_circumball(points, v0):
     """Damped Newton on v = (c, R, theta_1..4), the center, the radius and
     the signed pitches of the four points (tuples of floats), from
@@ -116,11 +108,12 @@ def _newton_circumball(points, v0):
     leaves the row [g_i, -1] (dc, dR) = -r_i, with the distance's gradient
     g_i = (-dZ/dtheta grad rho_i + dX/dtheta grad zeta_i) / det_i and
     r_i = (f_i1 dZ/dtheta - f_i2 dX/dtheta) / det_i, the distance minus R
-    to first order.  It runs on Python floats: numpy costs more than the
-    4x4 solve.  The line search keeps R in [1e-6, 2*pi] and
-    |theta_i| <= pi/2; every profile root with R <= 2*pi is minimizing (the
-    geodesic module's section rule), so at a root all four distances are
-    R.  Returns ((c, R), r) when hypot(r) and the norm of all f_i are below
+    to first order; _eliminated_step solves these rows as a 3x3 system in
+    dc.  It runs on Python floats: numpy costs more than that solve.  The
+    line search keeps R in [1e-6, 2*pi] and |theta_i| <= pi/2; every
+    profile root with R <= 2*pi is minimizing (the geodesic module's
+    section rule), so at a root all four distances are R.  Returns
+    ((c, R), r) when hypot(r) and the norm of all f_i are below
     _RESIDUAL_TOL; None otherwise.
     """
     v = [float(x) for x in v0]
@@ -133,14 +126,14 @@ def _newton_circumball(points, v0):
         rows, r, pitch, nrm = system
         if nrm < 1e-13:
             break
-        dv = _solve(rows, [-x for x in r])
+        dv = _eliminated_step(rows, r)
         if dv is None:
             return None
         dv += [a * dv[0] + b * dv[1] + c * dv[2] + e for a, b, c, e in pitch]
-        for step in (0.5 ** k for k in range(27)):  # down to 1.5e-8
-            vn = [a + step * d for a, d in zip(v, dv)]
-            vn[3] = min(max(vn[3], 1e-6), TWO_PI)
-            vn[4:] = [min(max(t, -0.5 * PI), 0.5 * PI) for t in vn[4:]]
+        for step in _STEPS:
+            x, y, z, R, *ts = [a + step * d for a, d in zip(v, dv)]
+            vn = [x, y, z, min(max(R, 1e-6), TWO_PI),
+                  *[min(max(t, -0.5 * PI), 0.5 * PI) for t in ts]]
             trial = _circumball_system(points, vn)
             if trial is not None and trial[3] < nrm:
                 v, system = vn, trial
@@ -156,7 +149,8 @@ def circumball(p0: Point, p1: Point, p2: Point, p3: Point) -> CircumballResult:
 
     Damped Newton on the center, the radius and the points' geodesic
     pitches, from at most two starts; the first accepted root wins.  Its
-    radius is at most 2*pi, so it is each point's exact distance.
+    radius is at most 2*pi, so it is each point's exact distance.  A step
+    is a 3x3 solve in the center by Cramer's rule (_eliminated_step).
 
     1. The Euclidean circumcenter in the local frame of the points, unless
        they are coplanar.  The points are left-translated so that their
@@ -181,9 +175,9 @@ def circumball(p0: Point, p1: Point, p2: Point, p3: Point) -> CircumballResult:
     o = loc[0]
     A = [[2.0 * (q[i] - o[i]) for i in range(3)] for q in loc[1:]]
     b = [sum(x * x for x in q) - sum(x * x for x in o) for q in loc[1:]]
-    degenerate = abs(_det3(A)) < 1e-12
-    C = None if degenerate else _solve(A, b)
-    if C is not None:
+    det, C = _solve3(A, b)
+    degenerate = abs(det) < 1e-12
+    if not degenerate:
         R0 = sum(math.dist(q, C) for q in loc) / 4.0
         best = _newton_circumball(points, [*translate(C, m), R0])
     if best is None:
@@ -351,7 +345,7 @@ def _table_limit(R: float, margin: float):
     return lambda zs: lookup(low, steps, zs)
 
 
-def _table_survivors(sx, sy, sz, cell_of, inv_words, inv_corners, cells,
+def _table_survivors(sx, sy, sz, cell_of, inv_sweep, inv_corners, cells,
                      R: float, margin: float) -> np.ndarray:
     """Indices of the points (coordinate arrays sx, sy, sz, lying in the
     grid cells cell_of) that a sheared profile-table test cannot place
@@ -370,9 +364,9 @@ def _table_survivors(sx, sy, sz, cell_of, inv_words, inv_corners, cells,
     at one of its two nearest corners, with the raised rho and |zeta| of
     _cell_bounds, settles all its points (see verify_covering).  Then pass
     j tests each point left at corner order[j] of its cell; most points
-    pass at the first.  Last, a sweep tests the points left against every
-    word of inv_words.  A corner test is one the sweep makes, so the
-    survivors are those of the sweep alone.
+    pass at the first.  Last, a sweep tests the points left against the
+    words of inv_sweep: all inverse shell words but the box corners, which
+    those points have failed, so the survivors are those of every word.
     """
     limit = _table_limit(R, margin)
     cut2 = (R - margin) ** 2
@@ -401,7 +395,7 @@ def _table_survivors(sx, sy, sz, cell_of, inv_words, inv_corners, cells,
         if len(alive) == 0:
             break
         alive = unsettled(alive, inv_corners.take(row[cell_of[alive]], axis=1))
-    for winv in zip(*inv_words):
+    for winv in zip(*inv_sweep):
         if len(alive) == 0:
             break
         alive = unsettled(alive, winv)
@@ -496,6 +490,7 @@ def _sample_check(lattice: Lattice, R: float, n_samples: int,
     words = _shell_words(lattice, 2)
     near = np.argsort(np.linalg.norm(words.T - 0.5 * M.sum(axis=0), axis=1))
     inv_words = inverse(words[:, near])
+    inv_sweep = inverse(words[:, near[~np.isin(near, _CORNER_WORDS)]])
     inv_corners = np.array(inverse(words[:, _CORNER_WORDS]))
     cells = ((centers @ M).T, order, M)
 
@@ -515,7 +510,7 @@ def _sample_check(lattice: Lattice, R: float, n_samples: int,
     measure(probes)
     # the table test settles the bulk, at the radius verify_covering explains
     T = min(max(R, worst_d), PI)
-    alive = _table_survivors(sx, sy, sz, cell_of, inv_words, inv_corners,
+    alive = _table_survivors(sx, sy, sz, cell_of, inv_sweep, inv_corners,
                              cells, T, margin)
     while len(alive):
         chunk, alive = alive[:64], alive[64:]
@@ -526,7 +521,7 @@ def _sample_check(lattice: Lattice, R: float, n_samples: int,
             # worst distance found so far
             T = min(worst_d, PI)
             alive = alive[_table_survivors(
-                sx[alive], sy[alive], sz[alive], cell_of[alive], inv_words,
+                sx[alive], sy[alive], sz[alive], cell_of[alive], inv_sweep,
                 inv_corners, cells, T, margin)]
     if worst_p is None:
         return CoverageResult(covered=True, radius=R, samples=n_samples)
@@ -723,21 +718,24 @@ def hex_family_lattice(t11: float) -> LatticeBasis:
     return LatticeBasis(t1=t1, t2=t2, k=1)
 
 
+def _corner_radius(lattice: Lattice) -> float:
+    fd = fundamental_domain(lattice)
+    return circumball(fd.O, fd.T1, fd.T2, fd.T3).radius
+
+
 def hex_covering_radius(t11: float) -> float:
     """Covering radius within the hexagonal family.
 
     All six domain tetrahedra are congruent here, so the corner one is
     enough.
     """
-    lattice = lattice_from_params(hex_family_lattice(t11))
-    fd = fundamental_domain(lattice)
-    return circumball(fd.O, fd.T1, fd.T2, fd.T3).radius
+    return _corner_radius(lattice_from_params(hex_family_lattice(t11)))
 
 
 def hex_density(t11: float) -> DensityReport:
     """Density of the hexagonal-family lattice at scale t11, unverified."""
     lattice = lattice_from_params(hex_family_lattice(t11))
-    return _density_report(lattice, hex_covering_radius(t11), False)
+    return _density_report(lattice, _corner_radius(lattice), False)
 
 
 def optimize_hex() -> tuple[float, float, float]:

@@ -297,6 +297,27 @@ def test_table_survivors_match_unfiltered_reference():
             assert np.array_equal(sub[got], np.intersect1d(want, sub))
 
 
+def test_table_sweep_skips_corner_words(monkeypatch):
+    # every sample that reaches the table's sweep has failed the 8 box
+    # corner words, so the sweep tests the other 117 shell words alone
+    swept = []
+    real = covering.translate
+
+    def spy(p, t):
+        if isinstance(p[0], np.ndarray) and np.ndim(t[0]) == 0:
+            swept.append(tuple(float(x) for x in t))
+        return real(p, t)
+
+    monkeypatch.setattr(covering, "translate", spy)
+    lat = lattice_from_params(UNIT)
+    assert not verify_covering(lat, 0.65, 2000)
+    words = covering._shell_words(lat, 2)
+    inv = set(zip(*np.array(inverse(words)).tolist()))
+    corners = set(zip(*np.array(
+        inverse(words[:, covering._CORNER_WORDS])).tolist()))
+    assert len(corners) == 8 and set(swept) == inv - corners
+
+
 def test_cell_bounds_hold_inside_cells():
     # the corners of every grid cell, and seeded points of seeded cells, lie
     # within the cell's raised rho and |zeta| relative to each box corner
@@ -556,14 +577,41 @@ def test_circumball_newton_evaluations_on_opt(monkeypatch):
         assert len(evals) <= 4 * 6
 
 
-def test_float_solve_matches_numpy():
+def test_solve3_matches_numpy():
     rng = np.random.default_rng(11)
-    for n in (3, 4):
-        for _ in range(200):
-            A = rng.uniform(-1.0, 1.0, (n, n))
-            b = rng.uniform(-1.0, 1.0, n)
-            want = np.linalg.solve(A, b)
-            got = covering._solve(A.tolist(), b.tolist())
+    for _ in range(200):
+        A = rng.uniform(-1.0, 1.0, (3, 3))
+        b = rng.uniform(-1.0, 1.0, 3)
+        want = np.linalg.solve(A, b)
+        det, got = covering._solve3(A.tolist(), b.tolist())
+        assert det == pytest.approx(np.linalg.det(A), rel=1e-12)
+        assert all(type(x) is float for x in got)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    # two equal rows: the determinant is exactly 0
+    A = [[0.3, -1.2, 0.7], [0.5, 0.25, -2.0], [0.3, -1.2, 0.7]]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.array(A), np.ones(3))
+    assert covering._solve3(A, [1.0] * 3) == (0.0, None)
+
+
+def test_eliminated_step_matches_4x4_solve():
+    # at seeded Newton states about three circumballs, the step from the
+    # row differences solves the 4x4 system of rows [g_i, -1]
+    rng = np.random.default_rng(29)
+    corners = (corner_tet(OPT), corner_tet(hex_family_lattice(1.26001585)),
+               corner_tet(K3))
+    for pts in corners:
+        pts = [tuple(float(x) for x in p) for p in pts]
+        ball = circumball(*pts)
+        for _ in range(20):
+            c = [x + rng.uniform(-0.05, 0.05) for x in ball.center]
+            R = ball.radius * rng.uniform(0.95, 1.05)
+            thetas = [math.atan2(zeta, rho) + rng.uniform(-0.05, 0.05)
+                      for rho, zeta in (geodesic._reduced(
+                          geodesic._relative_target(c, q)) for q in pts)]
+            rows, r, _, _ = covering._circumball_system(pts, [*c, R, *thetas])
+            want = np.linalg.solve(np.array(rows), -np.array(r))
+            got = covering._eliminated_step(rows, r)
             assert all(type(x) is float for x in got)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -571,16 +619,17 @@ def test_float_solve_matches_numpy():
 def test_newton_circumball_singular_jacobian(monkeypatch):
     # a profile kernel with dX/dtheta = 0 leaves every eliminated row
     # without a z-part, so the 4x4 row system is singular, which
-    # np.linalg.solve rejects; the Newton run gives up with None
+    # np.linalg.solve rejects, and so are its row differences: the step is
+    # None and the Newton run gives up with None
     monkeypatch.setattr(covering, "_profile_fj",
                         lambda R, theta: (0.0, 0.0, 0.0, 1.0, 1.0, 0.0))
     pts = [(float(i), 0.0, 0.0) for i in range(4)]
     v0 = (0.0, 0.0, 0.0, 1.0)
-    rows, _, _, nrm = covering._circumball_system(pts, [*v0, *[0.0] * 4])
+    rows, r, _, nrm = covering._circumball_system(pts, [*v0, *[0.0] * 4])
     assert [row[2] for row in rows] == [0.0] * 4 and nrm > 0.0
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(np.array(rows), np.ones(4))
-    assert covering._solve(rows, [1.0] * 4) is None
+    assert covering._eliminated_step(rows, r) is None
     assert covering._newton_circumball(pts, v0) is None
 
 
@@ -759,6 +808,11 @@ def test_hex_covering_radius_monotone():
     for v, e in zip(values, expected):
         assert abs(v - e) < 1e-7
     assert all(a < b for a, b in zip(values, values[1:]))
+
+
+def test_hex_density_radius_is_hex_covering_radius():
+    for t11 in (0.9, 1.26001585, 1.5, 1.7):
+        assert hex_density(t11).covering_radius == hex_covering_radius(t11)
 
 
 def test_hex_density_at_best_lattice_generator():
