@@ -3,8 +3,11 @@
 A lattice is generated by two translations whose horizontal projections are
 independent; their commutator is a vertical translation, and taking its k-th
 root as a third generator closes the group.  The fundamental domain is a
-skew parallelepiped with vertical sides; it tiles the space under the
-lattice action.
+skew parallelepiped with vertical sides, cut into six tetrahedra.  For k = 1
+it tiles the space under the lattice action.  For k >= 2 it does not: its
+vertex T21 = tau2 tau1 lies k steps of tau3 above T12 instead of one, so the
+solid is too tall and its translates overlap (tiling_spot_check counts
+the overlapping samples).
 """
 
 from __future__ import annotations
@@ -14,19 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Point, compose, inverse, power, rotate_z, translate
+from .core import Point, compose, inverse, power, rotate_z
 from .errors import DegenerateLatticeError, DomainError
 
 _DEGENERATE_TOL = 1e-12
 # largest shell index: the words are enumerated up front, (2n+1)^3 of them
 _MAX_SHELL = 50
-# shell searched for the translate containing a tiling sample; shell 2
-# misses some corners of the sampled box for k = 1 lattices near
-# t21/t11 = 0.5 and reports false gaps
-_TILING_SHELL = 3
-# sample points tested at once: memory stays bounded at any sample count,
-# and a batch of 8 points x 343 words x 6 tetrahedra stays in cache
-_TILING_CHUNK = 8
+# point-word pairs tested at once by the tiling check: memory stays
+# bounded at any sample count
+_TILING_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -203,6 +202,22 @@ class TilingReport:
         return self.violations == 0
 
 
+def _translated_coordinates(lattice: Lattice, u, v, h, a, b) -> tuple:
+    """Lattice coordinates of translate(p, inverse(tau1^a tau2^b)), given
+    p's lattice coordinates (u, v, h) (see tiling_spot_check).
+
+    The projection moves by (-a, -b).  The height drops by the group law's
+    fibre terms, x*y + b(b - 1)/2 * t21*t22 over tau, where x = a*t11 +
+    b*t21 is the word's x and y = v*t22 the new point's y; t1 lies on the
+    x-axis, as lattice_from_params puts it.  Works elementwise on
+    broadcasting arrays.
+    """
+    (t11, _, _), (t21, t22, _), tau = lattice.t1, lattice.t2, lattice.tau3[2]
+    u, v = u - a, v - b
+    return u, v, h - ((a * t11 + b * t21) * v * (t22 / tau)
+                      + b * (b - 1.0) * (0.5 * t21 * t22 / tau))
+
+
 def tiling_spot_check(lattice: Lattice, samples: int = 1000,
                       seed: int = 0) -> TilingReport:
     """Sample the domain's bounding box and count how many lattice translates
@@ -210,35 +225,78 @@ def tiling_spot_check(lattice: Lattice, samples: int = 1000,
 
     A correct tiling gives exactly one containing translate almost surely;
     a gap (none) or an overlap (two or more interiors) is a violation.
-    Boundary grazing is excluded by an epsilon band around each tetrahedron.
+    Boundary grazing is excluded by an eps band: a point is loosely in a
+    tetrahedron when its four barycentric coordinates are all at least
+    -eps, and strictly in it when they are all at least eps.
+
+    Each point is tested only against the translates that can hold it, so
+    the counts equal those of a sweep over all lattice words: there is no
+    shell cap.  The point p lies in the translate by w = tau1^a tau2^b
+    tau3^c when its local point translate(p, inverse(w)) lies in the solid.
+    Take lattice coordinates (u, v, h), with p = u*t1 + v*t2 + h*tau3 as
+    vectors: (u, v) is the projection in the (t1, t2) basis and h the
+    height above the plane of the bottom face O T1 T2 T12, in units of
+    tau3.  The local point has (u, v) = (U - a, V - b), where (U, V) is p's,
+    and since tau3 is central, c lowers its height by exactly c.
+
+    A point of a tetrahedron inflated by eps is an affine combination of
+    its vertices with weights of at least -eps, at most three of them
+    negative, so each lattice coordinate stays within 3*eps*w of the
+    vertices' range [lo, lo + w] of that coordinate.  The vertices have u
+    and v in [0, 1] and h in [0, k] (T21 alone has h = k); the ranges are
+    read from the vertices.  So for a margin delta >= 3*eps, the exponents
+
+        n = floor(q - lo + delta*w) - j,   j = 0, ..., floor(w + 2*delta*w)
+
+    with q = U for a, q = V for b, and q = the local height of tau1^a tau2^b
+    for c, include every word whose inflated translate contains p: two
+    values each of a and b, and k + 1 of c, where all but one a, one b and
+    k values of c only serve points within delta of a cell's face.
+    delta = 1e-6 leaves a thousand times eps for rounding.  Both counts are
+    therefore exact.
     """
     if samples < 1:
         raise DomainError("need at least one sample")
     tets = np.array(domain_tetrahedra(lattice))
-    # frames[t] maps an offset from the first vertex of tetrahedron t to
-    # its barycentric coordinates
-    frames = np.linalg.inv((tets[:, 1:] - tets[:, :1]).transpose(0, 2, 1))
-    base = tets[:, 0].T[:, :, None, None]
     lo, hi = tets.min(axis=(0, 1)), tets.max(axis=(0, 1))
-
-    inv_words = inverse(_shell_words(lattice, _TILING_SHELL))
+    # coords maps a point to its lattice coordinates (u, v, h)
+    coords = np.linalg.inv([lattice.t1, lattice.t2, lattice.tau3])
+    qtets = tets @ coords
+    homog = np.ones((6, 4, 4))
+    homog[..., 1:] = qtets
+    # the four barycentric coordinates of the six tetrahedra as one map of
+    # the homogeneous lattice coordinates (1, u, v, h); rows by coordinate,
+    # then tetrahedron
+    bary = np.linalg.inv(homog).transpose(2, 0, 1).reshape(24, 4)
 
     rng = np.random.default_rng(seed)
     pts = lo + (hi - lo) * rng.random((samples, 3))
 
-    # loose counts inflate each tetrahedron by eps, strict counts shrink it
-    eps = 1e-9
+    # candidate exponents along each lattice coordinate q are
+    # floor(q - start) - steps, as in the docstring
+    eps, delta = 1e-9, 1e-6
+    qlo = qtets.min(axis=(0, 1))
+    span = qtets.max(axis=(0, 1)) - qlo
+    start = (qlo - delta * span).tolist()
+    steps = [np.arange(math.floor(w * (1.0 + 2.0 * delta)) + 1.0)
+             for w in span.tolist()]
+    chunk = max(1, _TILING_CHUNK // math.prod(map(len, steps)))
+    bands = np.array([-eps, eps])[:, None, None]
     gaps = overlaps = 0
-    for start in range(0, samples, _TILING_CHUNK):
-        p = pts[start:start + _TILING_CHUNK].T[:, :, None]
-        # local coordinates of each point in each translate's frame, and
-        # their barycentric coordinates: axes (coordinate, tetrahedron,
-        # point, word)
-        local = np.array(translate(p, inv_words))
-        bary = np.einsum("tij,jtmw->itmw", frames, local[:, None] - base)
-        low, total = bary.min(axis=0), bary.sum(axis=0)
-        loose = ((low >= -eps) & (total <= 1.0 + eps)).any(axis=0)
-        strict = ((low >= eps) & (total <= 1.0 - eps)).any(axis=0)
-        gaps += int(np.count_nonzero(loose.sum(axis=-1) < 1))
-        overlaps += int(np.count_nonzero(strict.sum(axis=-1) > 1))
+    for first in range(0, samples, chunk):
+        u, v, h = (pts[first:first + chunk] @ coords).T[:, :, None, None]
+        a = np.floor(u - start[0]) - steps[0][:, None]
+        b = np.floor(v - start[1]) - steps[1]
+        u, v, h = _translated_coordinates(lattice, u, v, h, a, b)
+        h = h[..., None] - (np.floor(h - start[2])[..., None] - steps[2])
+        # axes (coordinate, point, a, b, c)
+        local = np.ones((4,) + h.shape)
+        local[1], local[2], local[3] = u[..., None], v[..., None], h
+        # depth: the least barycentric coordinate in the tetrahedron where
+        # it is largest, one per point and word
+        depth = (bary @ local.reshape(4, -1)).reshape(4, 6, -1).min(
+            axis=0).max(axis=0)
+        loose, strict = (depth.reshape(len(h), -1) >= bands).sum(axis=2)
+        gaps += int(np.count_nonzero(loose < 1))
+        overlaps += int(np.count_nonzero(strict > 1))
     return TilingReport(samples=samples, gaps=gaps, overlaps=overlaps)

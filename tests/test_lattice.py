@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from nilcover import lattice
 from nilcover import (DegenerateLatticeError, DomainError, LatticeBasis,
                       TilingReport, commutator, compose, domain_tetrahedra,
                       domain_volume, distance_to_origin, fundamental_domain,
@@ -17,7 +18,7 @@ UNIT = LatticeBasis(t1=(1.0, 0.0, 0.0), t2=(0.0, 1.0, 0.0), k=1)
 OPT = LatticeBasis(t1=(1.30633820, 0.0, 0.73894461),
                    t2=(0.65316910, 1.13132206, 1.10841692), k=1)
 # a normal-form k = 2 lattice: its domain does not tile, so spot checks find
-# both gaps and overlaps
+# overlaps
 K2 = LatticeBasis(t1=(1.7, 0.0, 1.2325), t2=(0.8, 1.45, 1.8125), k=2)
 
 
@@ -218,10 +219,15 @@ def tiling_by_point_loop(lat, samples, seed, shell=3):
     corners = np.array([v for tet in tets for v in tet])
     lo, hi = corners.min(axis=0), corners.max(axis=0)
     pts = lo + (hi - lo) * np.random.default_rng(seed).random((samples, 3))
+    # a local point outside the solid's bounding box, widened by far more
+    # than the eps band inflates a tetrahedron, lies in none of them
+    pad = 1e-6 * (hi - lo)
+    box = list(zip((lo - pad).tolist(), (hi + pad).tolist()))
     inv_words = [inverse(w) for w in lattice_points_in_shell(lat, shell)]
     gaps = overlaps = 0
     for p in pts:
-        local = [translate(tuple(p), w) for w in inv_words]
+        local = [q for q in (translate(tuple(p), w) for w in inv_words)
+                 if all(l <= x <= h for x, (l, h) in zip(q, box))]
         if sum(in_any_tet(q, 1e-9) for q in local) < 1:
             gaps += 1
         if sum(in_any_tet(q, -1e-9) for q in local) > 1:
@@ -230,16 +236,68 @@ def tiling_by_point_loop(lat, samples, seed, shell=3):
 
 
 def test_tiling_matches_point_loop():
+    # shell 5 holds every translate these samples can lie in: shells 4 to 6
+    # agree, where shell 3 misses some of K2's and reports 2 false gaps
     for basis, seed in ((OPT, 3), (K2, 0)):
         lat = lattice_from_params(basis)
         rep = tiling_spot_check(lat, 25, seed)
-        assert rep == tiling_by_point_loop(lat, 25, seed)
+        assert rep == tiling_by_point_loop(lat, 25, seed, shell=5)
     # the k = 2 lattice makes the comparison cover non-zero counts
-    assert rep.gaps > 0 and rep.overlaps > 0
+    assert rep.overlaps > 0
+
+
+def normal_form(t11, a, b, k):
+    """Basis in the paper's normal form: t1 on the x-axis, both generators
+    on the equidistant surface z = (fibre + x*y)/2."""
+    t21, t22 = a * t11, b * t11
+    fibre = t11 * t22
+    return LatticeBasis((t11, 0.0, 0.5 * fibre),
+                        (t21, t22, 0.5 * (fibre + t21 * t22)), k)
+
+
+def test_tiling_normal_form_k1_matches_point_loop():
+    # k = 1 normal forms from the tiling workload's box, t11 in [0.8, 1.8],
+    # t21/t11 in [0, 0.5] and t22/t11 in [0.75, 1], three corners included
+    rng = random.Random(7)
+    bases = [normal_form(0.8, 0.5, 0.75, 1), normal_form(1.8, 0.5, 0.75, 1),
+             normal_form(1.8, 0.0, 1.0, 1)]
+    bases += [normal_form(rng.uniform(0.8, 1.8), rng.uniform(0.0, 0.5),
+                          rng.uniform(0.75, 1.0), 1) for _ in range(3)]
+    for i, basis in enumerate(bases):
+        lat = lattice_from_params(basis)
+        rep = tiling_spot_check(lat, 30, i)
+        assert rep == tiling_by_point_loop(lat, 30, i)
+        assert rep.ok
+
+
+def test_tiling_k2_k3_have_no_gaps():
+    # every point lies in some translate: with no shell cap, the k >= 2
+    # solids only overlap
+    for basis in (K2, normal_form(1.3, 0.2, 0.9, 3)):
+        rep = tiling_spot_check(lattice_from_params(basis), samples=200,
+                                seed=0)
+        assert rep.gaps == 0 and rep.overlaps > 0
+
+
+def test_translated_coordinates_follow_group_law():
+    # the tiling check moves lattice coordinates by a closed form; it must
+    # agree with translate(p, inverse(w)) for every (a, b), not only the
+    # b = 0 that generic samples of the domain's box reach
+    rng = np.random.default_rng(5)
+    for basis in (OPT, K2, normal_form(1.3, 0.2, 0.9, 3)):
+        lat = lattice_from_params(basis)
+        coords = np.linalg.inv([lat.t1, lat.t2, lat.tau3])
+        p = rng.uniform(-3.0, 3.0, (50, 3))
+        a, b = rng.integers(-4, 5, (2, 50)).astype(float)
+        word = compose(power(lat.t1, a), power(lat.t2, b))
+        want = np.array(translate(tuple(p.T), inverse(word))).T @ coords
+        got = lattice._translated_coordinates(lat, *(p @ coords).T, a, b)
+        assert np.allclose(np.array(got).T, want, rtol=0.0, atol=1e-9)
 
 
 def test_tiling_needs_shell_three():
-    # a box corner of this lattice lies in a translate by a shell-3 word
+    # a box corner of this lattice lies in a translate by a shell-3 word,
+    # which the check finds from the corner's projected cell
     basis = LatticeBasis(t1=(1.7809676559690528, 0.0, 1.4202298597173604),
                          t2=(0.8059798820541969, 1.5948968584099195,
                              2.0629572506322784), k=1)
