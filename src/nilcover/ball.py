@@ -5,6 +5,12 @@ shear (x,y,z) -> (x,y,z-xy/2) is applied: it is swept by rotating the
 profile curve (X(R,theta), Z(R,theta)), theta in [-pi/2, pi/2], about the
 z-axis.  All ball-level quantities reduce to one-dimensional work on that
 profile.  Spheres only exist for R <= 2*pi.
+
+The profile height Z(R, theta) rises while u = R sin(theta) < pi and falls
+after (the fold rule, proved in max_vertical_chord).  The longest vertical
+chord, 2R up to R = pi and (R^2 + pi^2)/pi beyond, and the pitch
+asin(pi/R) where the sheared ball stops being convex are closed forms of
+that one fact; only the volume is an integral.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from .constants import BALL_CONVEXITY_MAX_RADIUS, M_IMAGE_CONVEXITY_MAX_RADIUS
 from .core import Point, m_inverse
@@ -82,44 +87,49 @@ def is_m_image_convex(R: float) -> bool:
     return R <= M_IMAGE_CONVEXITY_MAX_RADIUS
 
 
-def first_profile_critical_theta(R: float, n=4000):
+def first_profile_critical_theta(R: float):
     """First interior zero of dZ/dtheta, or None.
 
-    Diagnostic cross-check for is_m_image_convex: an interior critical
-    point of the profile height appears exactly when the sheared ball stops
-    being convex.
+    By the fold rule of max_vertical_chord, dZ/dtheta on (0, pi/2) has the
+    sign of cos(u/2), u = R sin(theta), so its one zero is at u = pi:
+    theta = asin(pi/R) for R > pi, and none for R <= pi.  An interior
+    critical point of the profile height thus appears exactly when the
+    sheared ball stops being convex (is_m_image_convex).  The tests check
+    the pitch against a sign scan of the profile kernel.
     """
     R = _check_radius(R)
-    thetas = np.linspace(1e-4, 0.5 * PI - 1e-4, n)
-    vals = np.array([_profile_fj(R, t)[4] for t in thetas])
-    idx = np.where(np.diff(np.sign(vals)) != 0)[0]
-    if len(idx) == 0:
+    if R <= PI:
         return None
-    return float(thetas[idx[0]])
+    return math.asin(PI / R)
 
 
 def max_vertical_chord(R: float) -> float:
     """Length of the longest chord parallel to the z-axis.
 
     The shear preserves vertical chords, and in the sheared picture the
-    longest one is the symmetric pair +-max Z(R, theta).
+    longest one is the symmetric pair +-max Z(R, theta), theta in [0, pi/2].
 
-    For R <= pi the chord is the vertical diameter 2R.  There u = R sin(theta)
-    lies in [0, pi] and
+    The fold rule: with u = R sin(theta) and v = u/2, 1 + cos u = 2 cos^2 v
+    and 2 sin u - u(1 + cos u) = 4 cos v (sin v - v cos v), so
 
-        dZ/dtheta = c R^3 q(u) + (1/2) c R (1 + cos u) >= 0,
+        dZ/dtheta = c R^3 q(u) + (1/2) c R (1 + cos u) = c cos(v) B,
+        B = R [cos v + R^2 (sin v - v cos v) / (4 v^3)],
 
-    because 2 sin u - u(1 + cos u) = 4 cos(u/2) (sin(u/2) - (u/2) cos(u/2))
-    is >= 0 on [0, pi] (tan x >= x on [0, pi/2)), so q(u) >= 0.  Z then
-    rises to its top Z(R, pi/2) = R.  Past pi the top is found numerically.
+    with c = cos(theta).  On (0, pi], sin v - v cos v > 0 (its derivative
+    is v sin v), and R^2 >= u^2 = 4 v^2, so B >= R sin(v)/v > 0 for
+    u < 2 pi (B = R(1 + R^2/12) at v = 0).  The sign of dZ/dtheta is the
+    sign of cos(u/2): Z rises while u < pi and falls after.
+
+    For R <= pi, u stays in [0, pi], so Z rises to its top Z(R, pi/2) = R
+    and the chord is the vertical diameter 2R.  Past pi, Z peaks at
+    u = pi, where R sin(theta) = pi, cos^2(theta) = 1 - pi^2/R^2 and
+    g(pi) = 1/pi^2, so Z = (R^2 + pi^2)/(2 pi) and the chord is
+    (R^2 + pi^2)/pi: 13 pi/4 at R = 3 pi/2 and 5 pi at R = 2 pi.
     """
     R = _check_radius(R)
     if R <= PI:
         return 2.0 * R
-    res = minimize_scalar(lambda t: -_profile(R, t)[1], bounds=(0.0, 0.5 * PI),
-                          method="bounded", options={"xatol": 1e-12})
-    zmax = max(-res.fun, _profile(R, 0.5 * PI)[1])
-    return 2.0 * zmax
+    return (R * R + PI * PI) / PI
 
 
 @dataclass(frozen=True)

@@ -660,6 +660,11 @@ def lower_bound_density(rp: float) -> LowerBoundConfig:
     fundamental domain; equating the chord to twice the triangle area is
     the consistency constraint solved for the chord angle.  The resulting
     density is a lower bound for every lattice covering with this radius.
+
+    The constraint psi(theta) = chord - 2 area is strictly increasing in
+    theta on [1e-6, pi/2 - 1e-12] (the tests check it on a grid of trial
+    radii), so it has one root there, found by one bracketed solve;
+    NoSolutionError when psi(1e-6) <= 0 <= psi(pi/2 - 1e-12) fails.
     """
     rp = float(rp)
     if not 0.0 < rp <= 0.5 * PI + 1e-12:
@@ -670,22 +675,13 @@ def lower_bound_density(rp: float) -> LowerBoundConfig:
         return chord - area2
 
     a, b = 1e-6, 0.5 * PI - 1e-12
-    grid = np.linspace(a, b, 200).tolist()
-    vals = [psi(t) for t in grid]
-    roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(grid[i])
-        elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(brentq(psi, grid[i], grid[i + 1], xtol=1e-14))
-    if not roots:
+    if not psi(a) <= 0.0 <= psi(b):
         raise NoSolutionError("consistency constraint has no root at rp=%g" % rp)
-
-    best = max(roots, key=lambda t: _lower_bound_terms(rp, t)[0])
-    chord, _, y0 = _lower_bound_terms(rp, best)
+    theta = brentq(psi, a, b, xtol=1e-14)
+    chord, _, y0 = _lower_bound_terms(rp, theta)
     t1p = (math.sqrt(rp * rp - y0 * y0), y0, 0.0)
     t2p = (0.0, rp, 0.0)
-    return LowerBoundConfig(rp=rp, chord_theta=float(best), ot3=chord,
+    return LowerBoundConfig(rp=rp, chord_theta=float(theta), ot3=chord,
                             t1p=t1p, t2p=t2p,
                             density=ball_volume(rp) / chord ** 2)
 

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from nilcover import geodesic
+from nilcover import covering, geodesic
 from nilcover import (DomainError, ball_volume, distance_to_origin,
                       first_profile_critical_theta, hull_gap, is_ball_convex,
                       is_m_image_convex, m_map, max_vertical_chord,
                       mesh_to_obj, sphere_mesh, sphere_point, sphere_profile)
+
+EPS = np.finfo(float).eps
 
 
 def test_frozen_volumes():
@@ -67,12 +69,47 @@ def _chord_by_search(R):
 
 
 def test_vertical_chord_closed_form_up_to_pi():
-    # the closed form 2R for R <= pi agrees with the search it replaces;
-    # past pi the search still runs
+    # the closed forms, 2R up to pi and (R^2 + pi^2)/pi beyond, agree with
+    # the search they replace
     for R in np.linspace(0.0, math.pi, 2002)[1:]:
         assert abs(max_vertical_chord(R) - _chord_by_search(R)) <= 1e-15
     for R in np.linspace(math.pi, 2 * math.pi, 41)[1:]:
-        assert max_vertical_chord(R) == _chord_by_search(R)
+        ref = _chord_by_search(R)
+        assert abs(max_vertical_chord(R) - ref) <= 4 * EPS * ref
+
+
+def test_vertical_chord_is_float_and_gives_paper_chords():
+    for R in (1.0, math.pi, 4.0, 2 * math.pi):
+        assert type(max_vertical_chord(R)) is float
+    # the chord caps of the paper's bounds f1 and f2
+    for h, R in ((covering._H1, 1.5 * math.pi), (covering._H2, 2 * math.pi)):
+        assert abs(max_vertical_chord(R) - h) <= 4 * EPS * h
+
+
+def test_fold_sign_rule():
+    # dZ/dtheta > 0 exactly when u = R sin(theta) < pi, for theta in
+    # [0, pi/2): the proof in max_vertical_chord, checked on the kernel
+    rng = np.random.default_rng(83)
+    R = rng.uniform(0.0, 2 * math.pi, 20000)
+    th = rng.uniform(0.0, 0.5 * math.pi, 20000)
+    u = R * np.sin(th)
+    keep = np.abs(u - math.pi) > 1e-6
+    for r, t, below in zip(R[keep], th[keep], u[keep] < math.pi):
+        assert (geodesic._profile_fj(r, t)[4] > 0.0) == below
+
+
+def test_fold_pitch_against_sign_scan():
+    # dZ/dtheta on a 2001-point pitch grid changes sign once, in the cell
+    # that holds asin(pi/R)
+    thetas = np.linspace(0.0, 0.5 * math.pi, 2001)
+    for R in (math.pi + 0.01, 3.5, 4.0, 5.0, 2 * math.pi - 0.01):
+        dz = np.array([geodesic._profile_fj(R, t)[4] for t in thetas])
+        cells = np.flatnonzero(np.diff(np.sign(dz)) != 0)
+        th = first_profile_critical_theta(R)
+        assert len(cells) == 1
+        assert thetas[cells[0]] <= th <= thetas[cells[0] + 1]
+    # the fold starts right past pi, where is_m_image_convex turns False
+    assert first_profile_critical_theta(math.pi + 1e-8) is not None
 
 
 def test_profile_closed_form_point():
@@ -130,7 +167,8 @@ def test_critical_theta():
         th = first_profile_critical_theta(r)
         assert th is not None
         assert 0.0 < th < math.pi / 2
-    assert abs(first_profile_critical_theta(3.5) - 1.1139312535109593) < 1e-9
+    assert abs(first_profile_critical_theta(3.5) - 1.1142896949775036) < 1e-9
+    assert first_profile_critical_theta(3.5) == math.asin(math.pi / 3.5)
 
 
 def test_mesh_counts_and_accuracy():

@@ -64,6 +64,18 @@ def test_chord_max(capsys):
         13 * math.pi / 4)
 
 
+def test_fold_closed_forms(capsys):
+    code, out, _ = run_cli(capsys, "convexity", "--radius", "3.5", "--json")
+    assert code == 0
+    assert abs(json.loads(out)["first_critical_theta"]
+               - math.asin(math.pi / 3.5)) <= 1e-12
+    code, out, _ = run_cli(capsys, "chord-max", "--radius", "4", "--json")
+    assert code == 0
+    chord = (16 + math.pi ** 2) / math.pi
+    assert abs(json.loads(out)["max_vertical_chord"] - chord) <= (
+        4 * 2.0 ** -52 * chord)
+
+
 def test_sphere_mesh_stdout(capsys):
     code, out, _ = run_cli(capsys, "sphere-mesh", "--radius", "1.0",
                            "--n-theta", "6", "--n-phi", "8")

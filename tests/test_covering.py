@@ -842,6 +842,18 @@ def test_lower_bound_config():
         lower_bound_density(math.pi / 2 + 0.1)
 
 
+def test_lower_bound_constraint_increasing():
+    # lower_bound_density's one bracketed solve needs psi = chord - 2 area
+    # strictly increasing in the chord pitch, negative at the left end and
+    # positive at the right
+    thetas = np.linspace(1e-6, 0.5 * math.pi - 1e-12, 201)
+    for rp in np.linspace(0.0, 0.5 * math.pi, 51)[1:]:
+        psi = [chord - area2 for chord, area2, _ in
+               (covering._lower_bound_terms(rp, t) for t in thetas)]
+        assert psi[0] < 0.0 < psi[-1]
+        assert all(a < b for a, b in zip(psi, psi[1:]))
+
+
 def test_minimize_lower_bound():
     rp, dens = minimize_lower_bound()
     assert abs(rp - 0.85847445) < 1e-3
