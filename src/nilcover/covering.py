@@ -304,7 +304,10 @@ def verify_covering(lattice: Lattice, R: float,
         raise DomainError("covering radius must lie in (0, 2*pi]")
     if n_samples < 1:
         raise DomainError("need at least one sample")
-    return _sample_check(lattice, R, n_samples, _circumcenter_probes(lattice))
+    if not float(n_samples).is_integer():
+        raise DomainError("sample count must be an integer")
+    return _sample_check(lattice, R, int(n_samples),
+                         _circumcenter_probes(lattice))
 
 
 # cells of the uniform zeta grid the profile table is resampled onto, and

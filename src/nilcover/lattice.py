@@ -12,6 +12,7 @@ the overlapping samples).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -170,9 +171,10 @@ def _shell_words(lattice: Lattice, n: int) -> np.ndarray:
     Distinct exponents give distinct points: the xy-projection fixes (a, b)
     because the projected generators are independent, and then z fixes c.
     """
-    if not 0 <= n <= _MAX_SHELL:
-        raise DomainError("shell index must lie in [0, %d]" % _MAX_SHELL)
-    idx = np.arange(-n, n + 1)
+    if not 0 <= n <= _MAX_SHELL or not float(n).is_integer():
+        raise DomainError("shell index must be an integer in [0, %d]"
+                          % _MAX_SHELL)
+    idx = np.arange(-int(n), int(n) + 1)
     a, b, c = (g.ravel() for g in np.meshgrid(idx, idx, idx, indexing="ij"))
     return np.array(compose(compose(power(lattice.t1, a), power(lattice.t2, b)),
                             power(lattice.tau3, c)))
@@ -218,6 +220,62 @@ def _translated_coordinates(lattice: Lattice, u, v, h, a, b) -> tuple:
                       + b * (b - 1.0) * (0.5 * t21 * t22 / tau))
 
 
+def _lattice_coordinates(lattice: Lattice, x, y, z) -> tuple:
+    """Lattice coordinates (u, v, h) of the point (x, y, z), that is
+    (x, y, z) = u*t1 + v*t2 + h*tau3 as vectors (see tiling_spot_check).
+
+    A closed form: t1 lies on the x-axis, as lattice_from_params puts it,
+    so y fixes v, then x fixes u and z fixes h.  Works elementwise on
+    broadcasting arrays.
+    """
+    (t11, _, t13), (t21, t22, t23), tau = lattice.t1, lattice.t2, lattice.tau3[2]
+    v = y / t22
+    u = (x - v * t21) / t11
+    return u, v, (z - u * t13 - v * t23) / tau
+
+
+def _domain_coordinates(k: int) -> FundamentalDomain:
+    """fundamental_domain's vertices in lattice coordinates (u, v, h), the
+    same for every lattice with fibre divisor k.
+
+    Each coordinate is 0 or 1, except the heights of T21 = tau2 tau1 and of
+    T213 above it: T21 = T12 + (0, 0, fibre) lies k steps of tau3 above T12,
+    which is the k >= 2 domain defect of the module docstring.
+    """
+    return FundamentalDomain(
+        O=(0, 0, 0), T1=(1, 0, 0), T2=(0, 1, 0), T3=(0, 0, 1),
+        T12=(1, 1, 0), T13=(1, 0, 1), T21=(1, 1, k), T23=(0, 1, 1),
+        T213=(1, 1, k + 1))
+
+
+@functools.lru_cache(maxsize=8)
+def _tiling_table(k: int) -> tuple:
+    """The tiling check's geometry for fibre divisor k, built from the exact
+    vertex coordinates of _domain_coordinates(k): (bary, start, steps).
+
+    bary holds the four barycentric coordinates of the six tetrahedra as
+    one read-only (24, 4) map of the homogeneous lattice coordinates
+    (1, u, v, h); rows by coordinate, then tetrahedron.  The candidate
+    exponents along the i-th lattice coordinate q are floor(q - start[i])
+    - steps[i], as in tiling_spot_check.
+    """
+    verts = _domain_coordinates(k).as_dict()
+    tets = np.array([[verts[label] for label in tet]
+                     for tet in DOMAIN_TETRAHEDRA], float)
+    homog = np.ones((6, 4, 4))
+    homog[..., 1:] = tets
+    bary = np.linalg.inv(homog).transpose(2, 0, 1).reshape(24, 4)
+    delta = 1e-6  # the margin of tiling_spot_check's docstring
+    lo = tets.min(axis=(0, 1))
+    span = tets.max(axis=(0, 1)) - lo
+    start = tuple((lo - delta * span).tolist())
+    steps = tuple(np.arange(math.floor(w * (1.0 + 2.0 * delta)) + 1.0)
+                  for w in span.tolist())
+    for a in (bary,) + steps:
+        a.setflags(write=False)
+    return bary, start, steps
+
+
 def tiling_spot_check(lattice: Lattice, samples: int = 1000,
                       seed: int = 0) -> TilingReport:
     """Sample the domain's bounding box and count how many lattice translates
@@ -239,12 +297,19 @@ def tiling_spot_check(lattice: Lattice, samples: int = 1000,
     tau3.  The local point has (u, v) = (U - a, V - b), where (U, V) is p's,
     and since tau3 is central, c lowers its height by exactly c.
 
+    In these coordinates the solid is the same for every lattice with the
+    same k.  Its vertices have u, v and h equal to 0 or 1, except that
+    T21 = tau2 tau1 has h = k: that is where the k >= 2 domain defect of
+    the module docstring shows.  The barycentric maps of the six
+    tetrahedra and the exponent ranges below are built from these integer
+    coordinates once per k (_tiling_table), and each call only maps its
+    samples to lattice coordinates, in closed form.
+
     A point of a tetrahedron inflated by eps is an affine combination of
     its vertices with weights of at least -eps, at most three of them
     negative, so each lattice coordinate stays within 3*eps*w of the
-    vertices' range [lo, lo + w] of that coordinate.  The vertices have u
-    and v in [0, 1] and h in [0, k] (T21 alone has h = k); the ranges are
-    read from the vertices.  So for a margin delta >= 3*eps, the exponents
+    vertices' range [lo, lo + w] of that coordinate: [0, 1] for u and v,
+    [0, k] for h.  So for a margin delta >= 3*eps, the exponents
 
         n = floor(q - lo + delta*w) - j,   j = 0, ..., floor(w + 2*delta*w)
 
@@ -257,34 +322,25 @@ def tiling_spot_check(lattice: Lattice, samples: int = 1000,
     """
     if samples < 1:
         raise DomainError("need at least one sample")
-    tets = np.array(domain_tetrahedra(lattice))
-    lo, hi = tets.min(axis=(0, 1)), tets.max(axis=(0, 1))
-    # coords maps a point to its lattice coordinates (u, v, h)
-    coords = np.linalg.inv([lattice.t1, lattice.t2, lattice.tau3])
-    qtets = tets @ coords
-    homog = np.ones((6, 4, 4))
-    homog[..., 1:] = qtets
-    # the four barycentric coordinates of the six tetrahedra as one map of
-    # the homogeneous lattice coordinates (1, u, v, h); rows by coordinate,
-    # then tetrahedron
-    bary = np.linalg.inv(homog).transpose(2, 0, 1).reshape(24, 4)
-
+    if not float(samples).is_integer():
+        raise DomainError("sample count must be an integer")
+    samples = int(samples)
+    bary, start, steps = _tiling_table(lattice.k)
+    verts = fundamental_domain(lattice).as_dict()
+    # the tetrahedra's bounding box: T213, which they do not use, lies above
+    del verts["T213"]
+    corners = np.array(list(verts.values()))
+    lo, hi = corners.min(axis=0), corners.max(axis=0)
     rng = np.random.default_rng(seed)
     pts = lo + (hi - lo) * rng.random((samples, 3))
 
-    # candidate exponents along each lattice coordinate q are
-    # floor(q - start) - steps, as in the docstring
-    eps, delta = 1e-9, 1e-6
-    qlo = qtets.min(axis=(0, 1))
-    span = qtets.max(axis=(0, 1)) - qlo
-    start = (qlo - delta * span).tolist()
-    steps = [np.arange(math.floor(w * (1.0 + 2.0 * delta)) + 1.0)
-             for w in span.tolist()]
     chunk = max(1, _TILING_CHUNK // math.prod(map(len, steps)))
+    eps = 1e-9
     bands = np.array([-eps, eps])[:, None, None]
     gaps = overlaps = 0
     for first in range(0, samples, chunk):
-        u, v, h = (pts[first:first + chunk] @ coords).T[:, :, None, None]
+        u, v, h = _lattice_coordinates(
+            lattice, *pts[first:first + chunk].T[:, :, None, None])
         a = np.floor(u - start[0]) - steps[0][:, None]
         b = np.floor(v - start[1]) - steps[1]
         u, v, h = _translated_coordinates(lattice, u, v, h, a, b)

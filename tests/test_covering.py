@@ -434,6 +434,9 @@ def test_verify_covering_domain():
         verify_covering(lat, 0.0)
     with pytest.raises(DomainError):
         verify_covering(lat, 2 * math.pi + 0.1)
+    for n_samples in (0, 100.5):
+        with pytest.raises(DomainError):
+            verify_covering(lat, 0.9, n_samples)
 
 
 def test_covering_density_report():

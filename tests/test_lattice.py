@@ -11,8 +11,8 @@ from nilcover import (DegenerateLatticeError, DomainError, LatticeBasis,
                       TilingReport, commutator, compose, domain_tetrahedra,
                       domain_volume, distance_to_origin, fundamental_domain,
                       hex_family_lattice, inverse, lattice_from_params,
-                      lattice_points_in_shell, power, tiling_spot_check,
-                      translate)
+                      lattice_points_in_shell, power, rotate_z,
+                      tiling_spot_check, translate)
 
 UNIT = LatticeBasis(t1=(1.0, 0.0, 0.0), t2=(0.0, 1.0, 0.0), k=1)
 OPT = LatticeBasis(t1=(1.30633820, 0.0, 0.73894461),
@@ -130,7 +130,7 @@ def test_shells_match_word_loop():
 
 def test_shell_index_bounds():
     lat = lattice_from_params(UNIT)
-    for n in (-1, 51):
+    for n in (-1, 51, 1.5):
         with pytest.raises(DomainError):
             lattice_points_in_shell(lat, n)
 
@@ -235,6 +235,14 @@ def tiling_by_point_loop(lat, samples, seed, shell=3):
     return TilingReport(samples=samples, gaps=gaps, overlaps=overlaps)
 
 
+def test_tiling_sample_count_domain():
+    lat = lattice_from_params(OPT)
+    for samples in (0, 2.5):
+        with pytest.raises(DomainError):
+            tiling_spot_check(lat, samples)
+    assert tiling_spot_check(lat, 3.0) == tiling_spot_check(lat, 3)
+
+
 def test_tiling_matches_point_loop():
     # shell 5 holds every translate these samples can lie in: shells 4 to 6
     # agree, where shell 3 misses some of K2's and reports 2 false gaps
@@ -279,6 +287,61 @@ def test_tiling_k2_k3_have_no_gaps():
         assert rep.gaps == 0 and rep.overlaps > 0
 
 
+def seeded_lattices():
+    """Lattices with k = 1..4 from raw bases that lattice_from_params must
+    rotate, half of them with a t2 that it swaps for its inverse."""
+    rng = random.Random(19)
+    lats = []
+    for k in (1, 2, 3, 4):
+        for sign in (1.0, -1.0, 1.0, -1.0):
+            raw1 = (rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0),
+                    rng.uniform(-1.0, 1.0))
+            raw2 = (rng.uniform(-0.4, 0.4), sign * rng.uniform(0.5, 2.0),
+                    rng.uniform(-1.0, 1.0))
+            lat = lattice_from_params(LatticeBasis(raw1, raw2, k))
+            # the raw t2 lies on the side of t1 that sign says, so the
+            # negative ones are swapped
+            assert (rotate_z(raw2, lat.rotation)[1] < 0.0) == (sign < 0.0)
+            lats.append(lat)
+    return lats
+
+
+def test_lattice_coordinates_match_inverse_basis():
+    # the tiling check's closed-form coordinate map equals the inverse of
+    # the generator matrix, on rotated and swapped bases alike
+    rng = np.random.default_rng(11)
+    for lat in seeded_lattices() + [lattice_from_params(OPT)]:
+        p = rng.uniform(-3.0, 3.0, (50, 3))
+        want = p @ np.linalg.inv([lat.t1, lat.t2, lat.tau3])
+        got = np.array(lattice._lattice_coordinates(lat, *p.T)).T
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_tiling_table_matches_fundamental_domain():
+    # the per-k table of vertex coordinates is the fundamental domain
+    # mapped to lattice coordinates: a change to one must change the other
+    for lat in seeded_lattices():
+        dom = fundamental_domain(lat).as_dict()
+        table = lattice._domain_coordinates(lat.k).as_dict()
+        assert table.keys() == dom.keys()
+        for label, q in table.items():
+            got = lattice._lattice_coordinates(lat, *dom[label])
+            assert close(got, q, tol=1e-12), (lat.k, label)
+
+
+def test_tiling_needs_no_linear_algebra_per_call(monkeypatch):
+    # the barycentric maps are built once per k: a warm call's repeat
+    # inverts no matrix
+    lat = lattice_from_params(normal_form(1.3, 0.2, 0.9, 3))
+    warm = tiling_spot_check(lat, 50, 4)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("np.linalg.inv called")
+
+    monkeypatch.setattr(np.linalg, "inv", boom)
+    assert tiling_spot_check(lat, 50, 4) == warm
+
+
 def test_translated_coordinates_follow_group_law():
     # the tiling check moves lattice coordinates by a closed form; it must
     # agree with translate(p, inverse(w)) for every (a, b), not only the
@@ -286,13 +349,14 @@ def test_translated_coordinates_follow_group_law():
     rng = np.random.default_rng(5)
     for basis in (OPT, K2, normal_form(1.3, 0.2, 0.9, 3)):
         lat = lattice_from_params(basis)
-        coords = np.linalg.inv([lat.t1, lat.t2, lat.tau3])
         p = rng.uniform(-3.0, 3.0, (50, 3))
         a, b = rng.integers(-4, 5, (2, 50)).astype(float)
         word = compose(power(lat.t1, a), power(lat.t2, b))
-        want = np.array(translate(tuple(p.T), inverse(word))).T @ coords
-        got = lattice._translated_coordinates(lat, *(p @ coords).T, a, b)
-        assert np.allclose(np.array(got).T, want, rtol=0.0, atol=1e-9)
+        want = lattice._lattice_coordinates(
+            lat, *translate(tuple(p.T), inverse(word)))
+        got = lattice._translated_coordinates(
+            lat, *lattice._lattice_coordinates(lat, *p.T), a, b)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-9)
 
 
 def test_tiling_needs_shell_three():
