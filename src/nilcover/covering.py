@@ -26,8 +26,8 @@ from .ball import ball_volume
 from .core import Point, inverse, translate
 from .errors import (DegenerateGeometryError, DomainError, NilcoverError,
                      NoSolutionError)
-from .geodesic import (PI, TWO_PI, _profile, _profile_array, _profile_fj,
-                       _reduced, _relative_target, distance_to_origin)
+from .geodesic import (PI, TWO_PI, _profile, _profile_fj, _reduced,
+                       _relative_target, distance_to_origin)
 from .lattice import (DOMAIN_TETRAHEDRA, Lattice, LatticeBasis, _shell_words,
                       domain_tetrahedra, domain_volume, fundamental_domain,
                       lattice_from_params)
@@ -227,23 +227,37 @@ def _circumcenter_probes(lattice: Lattice) -> list:
     return probes
 
 
-def _min_lattice_distance(p: Point, inv_words, stop_below: float) -> float:
-    """Distance from p to the nearest shell lattice point (inf if none lies
-    within 2*pi); returns early with some value at or below stop_below once
-    the nearest distance is known to be there.
+def _word_bounds(points: np.ndarray, inv_words) -> tuple:
+    """The shell words as seen from each of the points (an (N, 3) array),
+    in one broadcast: five (N, W) arrays (lx, ly, lz, lb, order), whose
+    j-th rows are point j's input to _min_lattice_distance.
 
     inv_words holds the inverses of the shell words as three coordinate
-    arrays.  The distance d to a word is at least max(rho, min(|zeta|, pi))
-    for its horizontal distance rho and sheared height zeta: d >= rho, and
-    a ball of radius d <= pi reaches only |zeta| <= d (see
-    max_vertical_chord).  Words are measured in increasing bound, and the
-    rest are skipped once the bound exceeds the nearest distance found.
+    arrays.  (lx, ly, lz) are the local coordinates of the words relative
+    to the points, lb the lower bound max(rho, min(|zeta|, pi)) on each
+    distance for the horizontal distance rho and sheared height zeta, and
+    order each point's words in increasing bound.  The distance d to a
+    word is at least that bound: d >= rho, and a ball of radius d <= pi
+    reaches only |zeta| <= d (see max_vertical_chord).
     """
-    lx, ly, lz = translate(p, inv_words)
+    lx, ly, lz = translate(tuple(points.T[:, :, None]), inv_words)
     zs = np.minimum(np.abs(lz - 0.5 * lx * ly), PI)
     lb = np.maximum(np.hypot(lx, ly), zs)
+    return lx, ly, lz, lb, np.argsort(lb, axis=1)
+
+
+def _min_lattice_distance(rows, stop_below: float) -> float:
+    """Distance from a point to the nearest shell lattice point (inf if
+    none lies within 2*pi); returns early with some value at or below
+    stop_below once the nearest distance is known to be there.
+
+    rows are the point's rows of the five _word_bounds arrays.  Words are
+    measured in increasing bound, and the rest are skipped once the bound
+    exceeds the nearest distance found.
+    """
+    lx, ly, lz, lb, order = rows
     dmin = math.inf
-    for i in np.argsort(lb).tolist():
+    for i in order.tolist():
         if lb[i] > dmin:
             break
         try:
@@ -284,7 +298,10 @@ def verify_covering(lattice: Lattice, R: float,
     points it accepts form a down-set: lowering rho or |zeta| keeps a
     point accepted.  So every sample of a passing cell passes the
     per-sample test at that corner, and is dropped from it.  The survivors,
-    and so every result, are those of the per-sample test alone.
+    and so every result, are those of the per-sample test alone.  The cell
+    pass runs before any sample is mapped onto the domain: only the samples
+    of the cells it leaves open are mapped, and the exact pass below maps
+    its own.
 
     The circumcenters of the domain tetrahedra are probed first, by exact
     distance.  The table test then runs at the larger of R and the worst
@@ -292,7 +309,9 @@ def verify_covering(lattice: Lattice, R: float,
     the witness, capped at pi, where the profile stops being monotone; a
     sample within pi is covered at any R above pi.  Exact distances settle
     the samples it leaves, 64 at a time, each measured only as far as it
-    must be to beat R or the worst uncovered point so far.  When that
+    must be to beat R or the worst uncovered point so far; the lower bounds
+    that order each sample's words are computed for all 64 (and for all
+    probes) at once (_word_bounds).  When that
     worst distance passes the table's radius, the table test runs again
     there on the samples left.  There is no search radius, so the
     witness's distance is exact however far it lies.
@@ -315,13 +334,43 @@ def verify_covering(lattice: Lattice, R: float,
 _TABLE_CELLS = 4096
 _ROUNDING = 16 * np.finfo(float).eps
 
+# the 4001 pitches theta in [0, pi/2] the profile table is tabulated at:
+# their sines, which rise along the grid, their cosines, and the factor
+# c^2 w / 2 of _profile_array's Z, which does not depend on R
+_PITCH_SIN = np.sin(np.linspace(0.0, 0.5 * PI, 4001))
+_PITCH_COS = np.cos(np.linspace(0.0, 0.5 * PI, 4001))
+_PITCH_CCW = 0.5 * _PITCH_COS * _PITCH_COS * _PITCH_SIN
+
+
+def _pitch_profile(R: float):
+    """The profile (X, Z) at R on the pitch grid, bit for bit
+    _profile_array(R, linspace(0, pi/2, 4001)).
+
+    u = R sin(theta) rises along the grid, so each series branch applies
+    on a prefix of it, and each branch is evaluated only where it applies.
+    """
+    u = _PITCH_SIN * R
+    v = 0.5 * u
+    i, j = np.searchsorted(u, 0.1), np.searchsorted(v, 1e-6)
+    sinc = np.empty_like(u)
+    v2 = v[:j] * v[:j]
+    sinc[:j] = 1.0 - v2 / 6.0 + v2 * v2 / 120.0
+    sinc[j:] = np.sin(v[j:]) / v[j:]
+    g = np.empty_like(u)
+    u2 = u[:i] * u[:i]
+    g[:i] = 1.0 / 6 - u2 / 120 + u2 * u2 / 5040 - u2 * u2 * u2 / 362880
+    us = u[i:]
+    g[i:] = (us - np.sin(us)) / (us * us * us)
+    return _PITCH_COS * R * sinc, u + _PITCH_CCW * R ** 3 * g
+
 
 def _table_limit(R: float, margin: float):
     """The horizontal reach of the R ball, lowered by at least margin, as a
     function of zs = |zeta| in [0, R]: the limit of the table test.
 
     Needs the profile at R to be monotone: R <= pi.  The profile, tabulated
-    at 4001 pitches theta, is a polyline (Z_j, X_j) in the (zeta, rho)
+    at 4001 pitches theta (_pitch_profile, from the grid's sines and
+    cosines taken once), is a polyline (Z_j, X_j) in the (zeta, rho)
     half-plane.  It is resampled once onto a uniform grid of _TABLE_CELLS
     cells over [0, R], so a point's cell is found by one multiplication
     instead of a binary search.  The resampled polyline minus the theta
@@ -333,7 +382,7 @@ def _table_limit(R: float, margin: float):
     keeps the lowered grid from rising where rounding would lift it, so the
     limit falls as zs grows, as the profile's reach does.
     """
-    X, Z = _profile_array(R, np.linspace(0.0, 0.5 * PI, 4001))
+    X, Z = _pitch_profile(R)
     scale = _TABLE_CELLS / R
 
     def lookup(table, steps, zs):
@@ -348,11 +397,11 @@ def _table_limit(R: float, margin: float):
     return lambda zs: lookup(low, steps, zs)
 
 
-def _table_survivors(sx, sy, sz, cell_of, inv_sweep, inv_corners, cells,
+def _table_survivors(pts, cell_of, inv_sweep, inv_corners, cells,
                      R: float, margin: float) -> np.ndarray:
-    """Indices of the points (coordinate arrays sx, sy, sz, lying in the
+    """Indices of the points (rows of pts in the unit cube, lying in the
     grid cells cell_of) that a sheared profile-table test cannot place
-    within R - margin of a shell word.
+    within R - margin of a shell word, once mapped onto the box.
 
     A point passes when its horizontal distance rho to a word is within
     _table_limit at its |zeta|; distances are compared squared, and the
@@ -360,16 +409,18 @@ def _table_survivors(sx, sy, sz, cell_of, inv_sweep, inv_corners, cells,
     only points with rho <= R - margin and |zeta| <= R can pass, and the
     table is read for those alone.
 
-    cells is (centers, order, M): the cell centers as a (3, C) array; for
-    each cell, the columns of inv_corners (the inverse box corner words)
-    nearest to its center first, as an (8, C) array; and the box the cells
-    fill, with rows T1, T2, T3.  First a cell whose center passes the test
-    at one of its two nearest corners, with the raised rho and |zeta| of
-    _cell_bounds, settles all its points (see verify_covering).  Then pass
-    j tests each point left at corner order[j] of its cell; most points
-    pass at the first.  Last, a sweep tests the points left against the
-    words of inv_sweep: all inverse shell words but the box corners, which
-    those points have failed, so the survivors are those of every word.
+    cells is (centers, order, M): the cell centers on the box as a (3, C)
+    array; for each cell, the columns of inv_corners (the inverse box
+    corner words) nearest to its center first, as an (8, C) array; and the
+    box the cells fill, with rows T1, T2, T3.  First a cell whose center
+    passes the test at one of its two nearest corners, with the raised rho
+    and |zeta| of _cell_bounds, settles all its points (see
+    verify_covering).  Only the points of the cells left open are then
+    mapped onto the box, as pts @ M, row by row.  Pass j tests each of
+    them at corner order[j] of its cell; most points pass at the first.
+    Last, a sweep tests the points left against the words of inv_sweep:
+    all inverse shell words but the box corners, which those points have
+    failed, so the survivors are those of every word.
     """
     limit = _table_limit(R, margin)
     cut2 = (R - margin) ** 2
@@ -393,16 +444,19 @@ def _table_survivors(sx, sy, sz, cell_of, inv_sweep, inv_corners, cells,
         open_cells = open_cells[~accepted(rho * rho, zs)]
     is_open = np.zeros(centers.shape[1], bool)
     is_open[open_cells] = True
-    alive = np.flatnonzero(is_open[cell_of])
+    mapped = np.flatnonzero(is_open[cell_of])
+    sx, sy, sz = (pts[mapped] @ M).T.copy()
+    cell = cell_of[mapped]
+    alive = np.arange(len(mapped))
     for row in order:
         if len(alive) == 0:
             break
-        alive = unsettled(alive, inv_corners.take(row[cell_of[alive]], axis=1))
+        alive = unsettled(alive, inv_corners.take(row[cell[alive]], axis=1))
     for winv in zip(*inv_sweep):
         if len(alive) == 0:
             break
         alive = unsettled(alive, winv)
-    return alive
+    return mapped[alive]
 
 
 # columns of _shell_words(lattice, 2), which is lexicographic in (a, b, c)
@@ -411,6 +465,9 @@ def _table_survivors(sx, sy, sz, cell_of, inv_sweep, inv_corners, cells,
 # sampled box
 _CORNER_WORDS = [25 * (a + 2) + 5 * (b + 2) + c + 2
                  for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+# the same columns as a mask over the 125 shell words
+_CORNER_MASK = np.zeros(125, bool)
+_CORNER_MASK[_CORNER_WORDS] = True
 
 # cells per axis of the grid that the cell pass of the sampling check lays
 # over the unit Halton cube; even, see _sample_layout
@@ -487,14 +544,15 @@ def _sample_check(lattice: Lattice, R: float, n_samples: int,
     fd = fundamental_domain(lattice)
     M = np.array([fd.T1, fd.T2, fd.T3], float)
     pts, cell_of, centers, order = _sample_layout(n_samples)
-    sx, sy, sz = (pts @ M).T.copy()
-    # nearest words first, so most samples pass the table test within a few
-    # words; no result depends on the word order
+    # one inverse of the shell words, indexed for each use: nearest words
+    # first, so most samples pass the table test within a few words; no
+    # result depends on the word order
     words = _shell_words(lattice, 2)
+    inv = np.array(inverse(words))
     near = np.argsort(np.linalg.norm(words.T - 0.5 * M.sum(axis=0), axis=1))
-    inv_words = inverse(words[:, near])
-    inv_sweep = inverse(words[:, near[~np.isin(near, _CORNER_WORDS)]])
-    inv_corners = np.array(inverse(words[:, _CORNER_WORDS]))
+    inv_words = inv[:, near]
+    inv_sweep = inv[:, near[~_CORNER_MASK[near]]]
+    inv_corners = inv[:, _CORNER_WORDS]
     cells = ((centers @ M).T, order, M)
 
     margin = 1e-6
@@ -502,30 +560,32 @@ def _sample_check(lattice: Lattice, R: float, n_samples: int,
     worst_p = None
 
     def measure(points):
-        # exact distances; a point only needs measuring past R - margin and
-        # past the worst uncovered point so far
+        # exact distances of the points (an (N, 3) array); a point only
+        # needs measuring past R - margin and past the worst uncovered
+        # point so far
         nonlocal worst_d, worst_p
-        for p in points:
-            d = _min_lattice_distance(p, inv_words, max(R - margin, worst_d))
+        bounds = _word_bounds(points, inv_words)
+        for j, p in enumerate(points.tolist()):
+            d = _min_lattice_distance([b[j] for b in bounds],
+                                      max(R - margin, worst_d))
             if d > R + 1e-9 and d > worst_d:
-                worst_d, worst_p = d, p
+                worst_d, worst_p = d, tuple(p)
 
-    measure(probes)
+    measure(np.array(probes, float).reshape(-1, 3))
     # the table test settles the bulk, at the radius verify_covering explains
     T = min(max(R, worst_d), PI)
-    alive = _table_survivors(sx, sy, sz, cell_of, inv_sweep, inv_corners,
-                             cells, T, margin)
+    alive = _table_survivors(pts, cell_of, inv_sweep, inv_corners, cells, T,
+                             margin)
     while len(alive):
         chunk, alive = alive[:64], alive[64:]
-        measure((float(sx[i]), float(sy[i]), float(sz[i]))
-                for i in chunk.tolist())
+        measure(pts[chunk] @ M)
         if len(alive) and min(worst_d, PI) > T:
             # a sample the table places within T - margin cannot beat the
             # worst distance found so far
             T = min(worst_d, PI)
-            alive = alive[_table_survivors(
-                sx[alive], sy[alive], sz[alive], cell_of[alive], inv_sweep,
-                inv_corners, cells, T, margin)]
+            alive = alive[_table_survivors(pts[alive], cell_of[alive],
+                                           inv_sweep, inv_corners, cells, T,
+                                           margin)]
     if worst_p is None:
         return CoverageResult(covered=True, radius=R, samples=n_samples)
     return CoverageResult(covered=False, radius=R, samples=n_samples,

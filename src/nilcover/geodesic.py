@@ -64,7 +64,10 @@ def _profile_array(R: float, theta: np.ndarray):
     switches.
 
     Both branches of each switch are evaluated, so the division runs on a
-    stand-in denominator of 1 where the series applies.
+    stand-in denominator of 1 where the series applies.  The covering
+    module's profile table (_pitch_profile) evaluates each branch only
+    where it applies, on a fixed pitch grid; the tests hold the two equal
+    bit for bit.
     """
     w = np.sin(theta)
     c = np.cos(theta)

@@ -287,6 +287,11 @@ def tiling_spot_check(lattice: Lattice, samples: int = 1000,
     tetrahedron when its four barycentric coordinates are all at least
     -eps, and strictly in it when they are all at least eps.
 
+    The samples are uniform draws of numpy's default generator seeded
+    with seed, a nonnegative integer; like the sample count, it may be
+    given as an integral float.  They are drawn and tested _TILING_CHUNK
+    point-word pairs at a time, so memory stays bounded at any count.
+
     Each point is tested only against the translates that can hold it, so
     the counts equal those of a sweep over all lattice words: there is no
     shell cap.  The point p lies in the translate by w = tau1^a tau2^b
@@ -324,7 +329,9 @@ def tiling_spot_check(lattice: Lattice, samples: int = 1000,
         raise DomainError("need at least one sample")
     if not float(samples).is_integer():
         raise DomainError("sample count must be an integer")
-    samples = int(samples)
+    if not (seed >= 0 and float(seed).is_integer()):
+        raise DomainError("seed must be a nonnegative integer")
+    samples, seed = int(samples), int(seed)
     bary, start, steps = _tiling_table(lattice.k)
     verts = fundamental_domain(lattice).as_dict()
     # the tetrahedra's bounding box: T213, which they do not use, lies above
@@ -332,15 +339,15 @@ def tiling_spot_check(lattice: Lattice, samples: int = 1000,
     corners = np.array(list(verts.values()))
     lo, hi = corners.min(axis=0), corners.max(axis=0)
     rng = np.random.default_rng(seed)
-    pts = lo + (hi - lo) * rng.random((samples, 3))
 
     chunk = max(1, _TILING_CHUNK // math.prod(map(len, steps)))
     eps = 1e-9
     bands = np.array([-eps, eps])[:, None, None]
     gaps = overlaps = 0
     for first in range(0, samples, chunk):
-        u, v, h = _lattice_coordinates(
-            lattice, *pts[first:first + chunk].T[:, :, None, None])
+        # drawn a chunk at a time: the same stream as one draw of them all
+        pts = lo + (hi - lo) * rng.random((min(chunk, samples - first), 3))
+        u, v, h = _lattice_coordinates(lattice, *pts.T[:, :, None, None])
         a = np.floor(u - start[0]) - steps[0][:, None]
         b = np.floor(v - start[1]) - steps[1]
         u, v, h = _translated_coordinates(lattice, u, v, h, a, b)

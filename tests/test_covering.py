@@ -196,7 +196,8 @@ def test_dropped_probe_is_logged(monkeypatch, caplog):
 def test_min_lattice_distance_matches_brute_force():
     # the nearest shell-2 word by brute force, and the lower bound the
     # search orders words by, on seeded points of three boxes and at the
-    # probes
+    # probes; the bounds and word orders come from one batch for all the
+    # points, and each row gives its point's distance
     rng = np.random.default_rng(11)
     for basis in (OPT, UNIT, K2):
         lat = lattice_from_params(basis)
@@ -204,18 +205,23 @@ def test_min_lattice_distance_matches_brute_force():
         fd = fundamental_domain(lat)
         M = np.array([fd.T1, fd.T2, fd.T3])
         points = [tuple(float(x) for x in u @ M) for u in rng.random((12, 3))]
-        for p in points + covering._circumcenter_probes(lat):
+        points += covering._circumcenter_probes(lat)
+        bounds = covering._word_bounds(np.array(points), inv_words)
+        for j, p in enumerate(points):
+            lx, ly, lz, lb, order = (b[j] for b in bounds)
             d = math.inf
-            for q in zip(*(c.tolist() for c in translate(p, inv_words))):
+            for i, q in enumerate(zip(*(c.tolist()
+                                        for c in translate(p, inv_words)))):
+                assert q == (lx[i], ly[i], lz[i])
                 try:
                     dq = geodesic.distance_to_origin(q)
                 except NoSolutionError:
                     continue
                 d = min(d, dq)
-                x, y, z = q
-                lb = max(math.hypot(x, y), min(abs(z - 0.5 * x * y), math.pi))
-                assert lb <= dq + 1e-12
-            assert covering._min_lattice_distance(p, inv_words, -1.0) == d
+                assert lb[i] <= dq + 1e-12
+            assert np.all(np.diff(lb[order]) >= 0.0)
+            rows = [b[j] for b in bounds]
+            assert covering._min_lattice_distance(rows, -1.0) == d
 
 
 def test_failing_check_measures_few_points(monkeypatch):
@@ -275,7 +281,8 @@ def _box(lat):
 def test_table_survivors_match_unfiltered_reference():
     # the cell, corner and sweep passes keep exactly the reference's
     # survivors, on all points and, as in the exact pass's rerun, on a
-    # subset of them
+    # subset of them; the table pass takes unit-cube points and maps them
+    # onto the box itself
     pts, cell_of, centers, order = covering._sample_layout(4000)
     sub = np.flatnonzero(np.random.default_rng(3).random(4000) < 0.3)
     for basis in (OPT, UNIT, K2, K3):
@@ -288,13 +295,44 @@ def test_table_survivors_match_unfiltered_reference():
         cells = ((centers @ M).T, order, M)
         for R in (0.3, 0.7, 0.90293941 * (1 + 1e-6), 1.5, math.pi):
             want = _reference_survivors(sx, sy, sz, inv_words, R, 1e-6)
-            got = covering._table_survivors(sx, sy, sz, cell_of, inv_words,
+            got = covering._table_survivors(pts, cell_of, inv_words,
                                             inv_corners, cells, R, 1e-6)
             assert np.array_equal(got, want)
-            got = covering._table_survivors(
-                sx[sub], sy[sub], sz[sub], cell_of[sub], inv_words,
-                inv_corners, cells, R, 1e-6)
+            got = covering._table_survivors(pts[sub], cell_of[sub], inv_words,
+                                            inv_corners, cells, R, 1e-6)
             assert np.array_equal(sub[got], np.intersect1d(want, sub))
+
+
+def test_mapped_subsets_match_full_map():
+    # the table pass maps only the samples of open cells, and the exact
+    # pass its own 64-point chunks: each must be bit for bit the same rows
+    # of the full map of all samples onto the box
+    pts = covering._sample_layout(20000)[0]
+    rng = np.random.default_rng(29)
+    for basis in (OPT, UNIT, K2, K3):
+        M = _box(lattice_from_params(basis))
+        full = pts @ M
+        subsets = [np.flatnonzero(rng.random(len(pts)) < share)
+                   for share in (0.01, 0.07, 0.3)]
+        subsets += [rng.choice(len(pts), n, replace=False) for n in (1, 5, 64)]
+        for sub in subsets:
+            assert (pts[sub] @ M).tobytes() == full[sub].tobytes()
+
+
+def test_pitch_profile_matches_profile_array():
+    # the profile table from the fixed pitch constants is bit for bit the
+    # profile over the 4001-pitch grid, whether a series branch covers all
+    # of the grid, a part of it, or only its first pitch, theta = 0
+    thetas = np.linspace(0.0, 0.5 * math.pi, 4001)
+    assert np.all(np.diff(covering._PITCH_SIN) >= 0.0)
+    prefixes = set()
+    for R in (1e-3, 0.19, 0.2, 0.9, math.pi):
+        X, Z = covering._pitch_profile(R)
+        want_X, want_Z = geodesic._profile_array(R, thetas)
+        assert np.array_equal(X, want_X) and np.array_equal(Z, want_Z)
+        u = R * np.sin(thetas)
+        prefixes |= {np.count_nonzero(u < 0.1), np.count_nonzero(u < 2e-6)}
+    assert {1, 4001} < prefixes
 
 
 def test_table_sweep_skips_corner_words(monkeypatch):
@@ -370,7 +408,8 @@ def test_corner_passes_settle_opt(monkeypatch):
     calls = _count_calls(monkeypatch, "translate")
     cell_passes = _count_calls(monkeypatch, "_cell_bounds")
     assert verify_covering(lat, R * (1 + 1e-6)).covered
-    passes = [t for p, t in calls if isinstance(p[0], np.ndarray)]
+    # the exact pass translates its points as 2-d arrays, all words at once
+    passes = [t for p, t in calls if np.ndim(p[0]) == 1]
     per_point = [t for t in passes if np.ndim(t[0]) == 1]
     assert 1 <= len(cell_passes) <= 2
     assert 1 <= len(per_point) - len(cell_passes) <= 8

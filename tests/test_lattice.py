@@ -243,6 +243,44 @@ def test_tiling_sample_count_domain():
     assert tiling_spot_check(lat, 3.0) == tiling_spot_check(lat, 3)
 
 
+def test_tiling_seed_domain():
+    # the seed is a nonnegative integer, and an integral float is taken as
+    # that integer, as the sample count is
+    lat = lattice_from_params(UNIT)
+    for seed in (1.5, -1, -2.0, float("nan")):
+        with pytest.raises(DomainError):
+            tiling_spot_check(lat, 1, seed=seed)
+    assert tiling_spot_check(lat, 50, 2.0) == tiling_spot_check(lat, 50, 2)
+
+
+def test_tiling_draws_one_chunk_at_a_time(monkeypatch):
+    # samples are drawn a chunk at a time, so no draw is larger than one
+    # chunk, and the reports equal those of one draw of every sample
+    for basis in (OPT, K2):
+        lat = lattice_from_params(basis)
+        monkeypatch.setattr(lattice, "_TILING_CHUNK", 10 ** 9)
+        whole = [tiling_spot_check(lat, n, 7) for n in (1, 700, 2000)]
+        monkeypatch.undo()
+        draws = []
+        default_rng = np.random.default_rng
+
+        class Spy:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def random(self, size):
+                draws.append(size[0])
+                return self.rng.random(size)
+
+        monkeypatch.setattr(np.random, "default_rng", Spy)
+        assert [tiling_spot_check(lat, n, 7) for n in (1, 700, 2000)] == whole
+        monkeypatch.undo()
+        # two candidate exponents each of a and b, and k + 1 of c
+        assert max(draws) == lattice._TILING_CHUNK // (4 * (lat.k + 1))
+        assert sum(draws) == 2701
+    assert whole[2].overlaps > 0
+
+
 def test_tiling_matches_point_loop():
     # shell 5 holds every translate these samples can lie in: shells 4 to 6
     # agree, where shell 3 misses some of K2's and reports 2 false gaps
