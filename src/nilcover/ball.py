@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .constants import BALL_CONVEXITY_MAX_RADIUS, M_IMAGE_CONVEXITY_MAX_RADIUS
 from .core import Point, m_inverse
@@ -63,6 +62,8 @@ def ball_volume(R: float) -> float:
     """Volume of the geodesic ball of radius R (the model volume element is
     the Euclidean one, so this is a body-of-revolution integral over the
     sheared profile)."""
+    from scipy.integrate import quad
+
     R = _check_radius(R, allow_zero=True)
     if R == 0.0:
         return 0.0

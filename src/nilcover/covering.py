@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
-from scipy.stats import qmc
 
 from .ball import ball_volume
 from .core import Point, inverse, translate
@@ -474,6 +472,18 @@ _CORNER_MASK[_CORNER_WORDS] = True
 _GRID_CELLS = 12
 
 
+def _radical_inverse(n: int, base: int) -> np.ndarray:
+    """The base-`base` radical inverses of 0, 1, ..., n - 1."""
+    q = np.arange(n, dtype=np.int64)
+    v = np.zeros(n)
+    b2r = 1.0 / base
+    while q.any():
+        v += (q % base) * b2r
+        b2r /= base
+        q //= base
+    return v
+
+
 @functools.lru_cache(maxsize=4)
 def _sample_layout(n: int):
     """The sampling check's layout of n samples in the unit cube, as
@@ -481,16 +491,20 @@ def _sample_layout(n: int):
     alone, and the cached arrays are shared.
 
     pts holds the first n points of the unscrambled 3-d Halton sequence,
-    one per row.  cell_of holds each point's cell, (i G + j) G + k for the
-    cell [i, i + 1] x [j, j + 1] x [k, k + 1] / G, G = _GRID_CELLS, and
-    centers the (G^3, 3) cell centers.  Column c of the (8, G^3) array
-    order lists the corners of the unit cube, as 4a + 2b + c, nearest to
-    center c first.  G is even, so a cell lies in one half of the cube
-    along every axis, and its nearest corner is nearest to each of its
-    points too (tied for a point on a midplane).
+    one per row: point q's coordinates are the radical inverses of q in
+    bases 2, 3 and 5, the base-b digits of q mirrored about the radix
+    point.  They are summed digit by digit, least significant first, in
+    the order of scipy's qmc.Halton(d=3, scramble=False), so the points
+    are the same to the bit.  cell_of holds each point's cell,
+    (i G + j) G + k for the cell [i, i + 1] x [j, j + 1] x [k, k + 1] / G,
+    G = _GRID_CELLS, and centers the (G^3, 3) cell centers.  Column c of
+    the (8, G^3) array order lists the corners of the unit cube, as
+    4a + 2b + c, nearest to center c first.  G is even, so a cell lies in
+    one half of the cube along every axis, and its nearest corner is
+    nearest to each of its points too (tied for a point on a midplane).
     """
     g = _GRID_CELLS
-    pts = qmc.Halton(d=3, scramble=False).random(n)
+    pts = np.stack([_radical_inverse(n, b) for b in (2, 3, 5)], axis=1)
     ijk = np.minimum((pts * g).astype(np.intp), g - 1)
     cell_of = (ijk[:, 0] * g + ijk[:, 1]) * g + ijk[:, 2]
     mid = (np.arange(g) + 0.5) / g
@@ -560,15 +574,15 @@ def _sample_check(lattice: Lattice, R: float, n_samples: int,
     worst_p = None
 
     def measure(points):
-        # exact distances of the points (an (N, 3) array); a point only
-        # needs measuring past R - margin and past the worst uncovered
-        # point so far
+        # exact distances of the points (an (N, 3) array); a point is
+        # recorded only past R + 1e-9 and past the worst uncovered point so
+        # far, so it needs measuring no further than the larger of the two
         nonlocal worst_d, worst_p
         bounds = _word_bounds(points, inv_words)
         for j, p in enumerate(points.tolist()):
-            d = _min_lattice_distance([b[j] for b in bounds],
-                                      max(R - margin, worst_d))
-            if d > R + 1e-9 and d > worst_d:
+            floor = max(R + 1e-9, worst_d)
+            d = _min_lattice_distance([b[j] for b in bounds], floor)
+            if d > floor:
                 worst_d, worst_p = d, tuple(p)
 
     measure(np.array(probes, float).reshape(-1, 3))
@@ -729,6 +743,8 @@ def lower_bound_density(rp: float) -> LowerBoundConfig:
     radii), so it has one root there, found by one bracketed solve;
     NoSolutionError when psi(1e-6) <= 0 <= psi(pi/2 - 1e-12) fails.
     """
+    from scipy.optimize import brentq
+
     rp = float(rp)
     if not 0.0 < rp <= 0.5 * PI + 1e-12:
         raise DomainError("trial radius must lie in (0, pi/2]")
@@ -751,6 +767,7 @@ def lower_bound_density(rp: float) -> LowerBoundConfig:
 
 def minimize_lower_bound() -> tuple[float, float]:
     """Trial radius minimizing the lower bound, and the bound itself."""
+    from scipy.optimize import minimize_scalar
 
     def objective(rp):
         try:
@@ -802,6 +819,8 @@ def optimize_hex() -> tuple[float, float, float]:
 
     The optimum is validated as an actual covering before returning.
     """
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(lambda t: hex_density(t).density,
                           bounds=(0.8, 1.8), method="bounded",
                           options={"xatol": 1e-10})

@@ -43,7 +43,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import Point, inverse, translate
 from .errors import NoSolutionError
@@ -238,6 +237,8 @@ def _bracket_profile(rho, zs):
     [rho, 2*pi] whose section height Z(s, theta_s(rho)) is zs.  The outer
     one's first evaluation, at s = 2*pi, is the exact reach test.
     """
+    from scipy.optimize import brentq
+
     def pitch(s):
         if rho >= s:  # the section at rho is at most the point zeta = 0
             return 0.0

@@ -242,6 +242,24 @@ def test_failing_check_measures_few_points(monkeypatch):
         assert len(calls) <= most
 
 
+def test_passing_probes_measure_one_word_each(monkeypatch):
+    # at R (1 + 1e-6) each circumcentre probe lies within R of its
+    # nearest lattice point, which it measures first; a probe is recorded
+    # only past R + 1e-9, so the others are not measured.  On OPT and the
+    # hexagonal optimum every sample passes the table test, so the six
+    # probes make all of the check's distance solves
+    probes = _count_calls(monkeypatch, "_min_lattice_distance")
+    solves = _count_calls(monkeypatch, "distance_to_origin")
+    for basis in (OPT, hex_family_lattice(1.26001585)):
+        lat = lattice_from_params(basis)
+        R = max(circumball(*tet).radius for tet in domain_tetrahedra(lat))
+        probes.clear()
+        solves.clear()
+        assert verify_covering(lat, R * (1 + 1e-6)).covered
+        assert len(probes) == 6
+        assert len(solves) == 6
+
+
 def test_profile_array_matches_scalar_profile():
     thetas = np.linspace(0.0, 0.5 * math.pi, 4001)
     for R in (1e-3, 0.19, 0.2, 0.9, math.pi):
@@ -429,6 +447,16 @@ def test_table_limit_below_theta_table():
         # and it never rises in zs, so the points it accepts form a
         # down-set in (|zeta|, rho), which the cell pass relies on
         assert np.all(np.diff(lim[:200001]) <= 0.0)
+
+
+def test_halton_points_match_scipy():
+    # the numpy radical inverse gives scipy's unscrambled Halton points to
+    # the bit
+    from scipy.stats import qmc
+
+    for n in (1, 2, 7, 2000, 20000):
+        want = qmc.Halton(d=3, scramble=False).random(n)
+        assert np.array_equal(covering._sample_layout(n)[0], want)
 
 
 def test_halton_points_shared_read_only():
@@ -679,11 +707,12 @@ def test_distance_gradient_reuses_newton_jacobian(monkeypatch):
     # a circumball Newton evaluation is one profile kernel call per point,
     # whose Jacobian gives both the step and the distance gradient; no
     # profile Newton runs inside it (480 and 64 kernel calls when each
-    # evaluation solved four profile Newtons)
+    # evaluation solved four profile Newtons).  The sampling check's six
+    # probes make one distance solve each, four kernel calls apiece
     evals = _count_calls(monkeypatch, "_profile_fj", module=geodesic)
     in_circumball = _count_calls(monkeypatch, "_profile_fj")
     covering_density(lattice_from_params(OPT))
-    assert (len(in_circumball), len(evals)) == (120, 96)
+    assert (len(in_circumball), len(evals)) == (120, 24)
     evals.clear()
     in_circumball.clear()
     circumball(*corner_tet(hex_family_lattice(1.26001585)))
