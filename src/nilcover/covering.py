@@ -277,10 +277,12 @@ def verify_covering(lattice: Lattice, R: float,
     Samples map a Halton sequence linearly onto the domain parallelepiped,
     which samples the volume uniformly.  A sample counts as covered when it
     lies within R of one of the shell-2 lattice points.  A fast sheared
-    profile-table test settles the bulk.  It reads the ball's profile from
-    a uniform zeta grid in constant time per point, lowered past the
-    resampling error, so it never accepts a sample that the tabulated
-    profile lowered by a 1e-6 margin rejects.  Each sample is tested
+    profile-table test settles the bulk.  It runs only at radii up to pi,
+    where the sheared ball is convex, so the polyline through a few hundred
+    points of its profile lies inside it (_table_limit).  The test reads
+    that polyline from a uniform zeta grid in constant time per point,
+    lowered past the resampling error and by a 1e-6 margin, so every
+    sample it accepts lies inside the ball.  Each sample is tested
     against the lattice points at the corners of the domain box first,
     nearest to the center of its grid cell first (see below), and only
     then against all shell points, nearest to the box center first; the
@@ -329,20 +331,25 @@ def verify_covering(lattice: Lattice, R: float,
 
 # cells of the uniform zeta grid the profile table is resampled onto, and
 # the rounding allowance of a lookup, relative to R
-_TABLE_CELLS = 4096
+_TABLE_CELLS = 256
 _ROUNDING = 16 * np.finfo(float).eps
 
-# the 4001 pitches theta in [0, pi/2] the profile table is tabulated at:
+# the 257 pitches theta in [0, pi/2] the profile table is tabulated at:
 # their sines, which rise along the grid, their cosines, and the factor
-# c^2 w / 2 of _profile_array's Z, which does not depend on R
-_PITCH_SIN = np.sin(np.linspace(0.0, 0.5 * PI, 4001))
-_PITCH_COS = np.cos(np.linspace(0.0, 0.5 * PI, 4001))
+# c^2 w / 2 of _profile_array's Z, which does not depend on R.  The table
+# runs only at R <= pi, where the sheared ball is convex, so the polyline
+# through the profile points lies inside it whatever the grid (see
+# _table_limit); a pitch step h gives up a sliver about R h^2 / 8 thick
+# next to the sphere, under 5e-6 R here.
+_PITCH_SIN = np.sin(np.linspace(0.0, 0.5 * PI, 257))
+_PITCH_COS = np.cos(np.linspace(0.0, 0.5 * PI, 257))
 _PITCH_CCW = 0.5 * _PITCH_COS * _PITCH_COS * _PITCH_SIN
 
 
 def _pitch_profile(R: float):
     """The profile (X, Z) at R on the pitch grid, bit for bit
-    _profile_array(R, linspace(0, pi/2, 4001)).
+    _profile_array(R, linspace(0, pi/2, 257)): points of the sphere, whose
+    polyline lies inside the ball when it is convex, at R <= pi.
 
     u = R sin(theta) rises along the grid, so each series branch applies
     on a prefix of it, and each branch is evaluated only where it applies.
@@ -366,19 +373,24 @@ def _table_limit(R: float, margin: float):
     """The horizontal reach of the R ball, lowered by at least margin, as a
     function of zs = |zeta| in [0, R]: the limit of the table test.
 
-    Needs the profile at R to be monotone: R <= pi.  The profile, tabulated
-    at 4001 pitches theta (_pitch_profile, from the grid's sines and
-    cosines taken once), is a polyline (Z_j, X_j) in the (zeta, rho)
-    half-plane.  It is resampled once onto a uniform grid of _TABLE_CELLS
-    cells over [0, R], so a point's cell is found by one multiplication
-    instead of a binary search.  The resampled polyline minus the theta
-    polyline is piecewise linear and 0 at the grid knots, so its largest
-    value dev is taken at some Z_j.  The grid is lowered by dev + margin
-    plus a rounding allowance of a few ulps of R, so the limit never
-    exceeds the theta polyline lowered by margin: the test never accepts a
-    point that a lookup in the theta table would reject.  A running minimum
-    keeps the lowered grid from rising where rounding would lift it, so the
-    limit falls as zs grows, as the profile's reach does.
+    Needs R <= pi.  There the sheared ball is convex (is_m_image_convex),
+    and so is its meridian {rho <= X(|zeta|)} in the (zeta, rho)
+    half-plane, where Z rises with the pitch theta (see max_vertical_chord).
+    The profile at the pitch grid's 257 thetas (_pitch_profile, from the
+    grid's sines and cosines taken once) is a polyline (Z_j, X_j) whose
+    vertices lie on the sphere, so every chord of it lies inside the
+    meridian: the polyline is an inner bound of the ball on any grid.  It
+    is resampled once onto a uniform grid of _TABLE_CELLS cells over
+    [0, R], so a point's cell is found by one multiplication instead of a
+    binary search.  The resampled polyline minus the theta polyline is
+    piecewise linear and 0 at the grid knots, so its largest value dev is
+    taken at some Z_j; by convexity dev is no more than rounding.  The
+    grid is lowered by dev + margin plus a rounding allowance of a few
+    ulps of R, so the limit never exceeds the theta polyline lowered by
+    margin: the test accepts only points at least margin inside the ball
+    in rho.  A running minimum keeps the lowered grid from rising where
+    rounding would lift it, so the limit falls as zs grows, as the
+    profile's reach does.
     """
     X, Z = _pitch_profile(R)
     scale = _TABLE_CELLS / R

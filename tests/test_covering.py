@@ -271,9 +271,14 @@ def test_profile_array_matches_scalar_profile():
         assert np.max(np.abs(Z - ref[:, 1])) <= 1e-14
 
 
+def _pitch_grid():
+    # the pitches of covering's profile table
+    return np.linspace(0.0, 0.5 * math.pi, covering._PITCH_SIN.size)
+
+
 @functools.lru_cache(maxsize=None)
 def _scalar_profile_table(R):
-    thetas = np.linspace(0.0, 0.5 * math.pi, 4001)
+    thetas = _pitch_grid()
     return np.array([geodesic._profile(R, t) for t in thetas])
 
 
@@ -339,9 +344,9 @@ def test_mapped_subsets_match_full_map():
 
 def test_pitch_profile_matches_profile_array():
     # the profile table from the fixed pitch constants is bit for bit the
-    # profile over the 4001-pitch grid, whether a series branch covers all
+    # profile over the same pitch grid, whether a series branch covers all
     # of the grid, a part of it, or only its first pitch, theta = 0
-    thetas = np.linspace(0.0, 0.5 * math.pi, 4001)
+    thetas = _pitch_grid()
     assert np.all(np.diff(covering._PITCH_SIN) >= 0.0)
     prefixes = set()
     for R in (1e-3, 0.19, 0.2, 0.9, math.pi):
@@ -350,7 +355,7 @@ def test_pitch_profile_matches_profile_array():
         assert np.array_equal(X, want_X) and np.array_equal(Z, want_Z)
         u = R * np.sin(thetas)
         prefixes |= {np.count_nonzero(u < 0.1), np.count_nonzero(u < 2e-6)}
-    assert {1, 4001} < prefixes
+    assert {1, thetas.size} < prefixes
 
 
 def test_table_sweep_skips_corner_words(monkeypatch):
@@ -440,13 +445,28 @@ def test_table_limit_below_theta_table():
     # breakpoints Z_j and on a dense zeta grid in between
     margin = 1e-6
     for R in (1e-3, 0.19, 0.2, 0.9, math.pi):
-        X, Z = geodesic._profile_array(R, np.linspace(0.0, 0.5 * math.pi, 4001))
+        X, Z = geodesic._profile_array(R, _pitch_grid())
         zs = np.concatenate([np.linspace(0.0, R, 200001), Z[Z <= R]])
         lim = covering._table_limit(R, margin)(zs)
         assert np.all(lim <= np.interp(zs, Z, X) - margin)
         # and it never rises in zs, so the points it accepts form a
         # down-set in (|zeta|, rho), which the cell pass relies on
         assert np.all(np.diff(lim[:200001]) <= 0.0)
+
+
+def test_pitch_polyline_inside_ball():
+    # at R <= pi the sheared ball is convex, so the polyline through the
+    # table's profile points lies inside it: Z rises along the pitch grid,
+    # and at the quarter points and midpoint of every pitch interval the
+    # polyline reaches no farther than the profile at the same height
+    thetas = _pitch_grid()
+    for R in (1e-3, 0.19, 0.2, 0.9, 2.0, 3.0, math.pi):
+        X, Z = covering._pitch_profile(R)
+        assert np.all(np.diff(Z) > 0.0)
+        for q in (0.25, 0.5, 0.75):
+            inner = thetas[:-1] + q * np.diff(thetas)
+            prof = np.array([geodesic._profile(R, t) for t in inner])
+            assert np.all(np.interp(prof[:, 1], Z, X) <= prof[:, 0])
 
 
 def test_halton_points_match_scipy():

@@ -1,7 +1,9 @@
 """Lattices, fundamental domains, tilings."""
 
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -133,6 +135,47 @@ def test_shell_index_bounds():
     for n in (-1, 51, 1.5):
         with pytest.raises(DomainError):
             lattice_points_in_shell(lat, n)
+
+
+def test_shell_words_match_compose_power():
+    # the closed-form words are the compose/power construction over the
+    # exponent meshgrid to the bit, signed zeros included
+    bases = [hex_family_lattice(1.26001585), OPT, UNIT,
+             LatticeBasis(OPT.t1, compose(OPT.t1, OPT.t2), OPT.k)]
+    bases += [normal_form(1.3, 0.2, 0.9, k) for k in (1, 2, 3)]
+    for basis in bases:
+        lat = lattice_from_params(basis)
+        for n in range(4):
+            idx = np.arange(-n, n + 1)
+            a, b, c = (g.ravel()
+                       for g in np.meshgrid(idx, idx, idx, indexing="ij"))
+            want = np.array(compose(compose(power(lat.t1, a),
+                                            power(lat.t2, b)),
+                                    power(lat.tau3, c)))
+            got = lattice._shell_words(lat, n)
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_only_the_shell2_exponent_grid_is_kept(monkeypatch):
+    # shell 2 reads the module's grid; every other shell builds its grid
+    # per call, and nothing keeps it once the call returns
+    built = []
+    real = lattice._exponent_grid
+
+    def spy(n):
+        grid = real(n)
+        built.extend(weakref.ref(g) for g in grid)
+        return grid
+
+    monkeypatch.setattr(lattice, "_exponent_grid", spy)
+    lat = lattice_from_params(OPT)
+    lattice._shell_words(lat, 2)
+    assert built == []
+    for n in (0, 1, 3, 5):
+        lattice._shell_words(lat, n)
+    gc.collect()
+    assert len(built) == 20 and all(ref() is None for ref in built)
 
 
 def test_domain_vertices_in_shells():
