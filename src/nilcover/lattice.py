@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Point, inverse, rotate_z
+from .core import Point, compose, inverse, power, rotate_z
 from .errors import DegenerateLatticeError, DomainError
 
 _DEGENERATE_TOL = 1e-12
@@ -166,10 +166,9 @@ def domain_tetrahedra(lattice: Lattice) -> tuple:
 
 def _exponent_grid(n: int) -> tuple:
     """The exponents (a, b, c) of the shell-n words, lexicographic, as float
-    arrays, with the shear factors a(a - 1)/2 and b(b - 1)/2 of power."""
+    arrays; power gives the same bits with them as with integers."""
     idx = np.arange(-n, n + 1, dtype=float)
-    a, b, c = (g.ravel() for g in np.meshgrid(idx, idx, idx, indexing="ij"))
-    return a, b, c, 0.5 * a * (a - 1), 0.5 * b * (b - 1)
+    return tuple(g.ravel() for g in np.meshgrid(idx, idx, idx, indexing="ij"))
 
 
 # the shell-2 grid of every sampling check; other shells build theirs per
@@ -183,28 +182,13 @@ def _shell_words(lattice: Lattice, n: int) -> np.ndarray:
 
     Distinct exponents give distinct points: the xy-projection fixes (a, b)
     because the projected generators are independent, and then z fixes c.
-    The words are compose(compose(power(t1, a), power(t2, b)),
-    power(tau3, c)) written out operation for operation, and so the same to
-    the bit.  Only power(tau3, c)'s shear term c(c - 1)/2 * 0 * 0 is left
-    out, since tau3 = (0, 0, f): that zero is -0.0 at c = 0 and is added to
-    a nonzero c f otherwise, so it changes no bit.
     """
     if not 0 <= n <= _MAX_SHELL or not float(n).is_integer():
         raise DomainError("shell index must be an integer in [0, %d]"
                           % _MAX_SHELL)
-    a, b, c, ha, hb = _SHELL2_GRID if n == 2 else _exponent_grid(int(n))
-    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = (lattice.t1, lattice.t2,
-                                                lattice.tau3)
-    p1y, p2x = a * y1, b * x2
-    x = a * x1 + p2x
-    y = p1y + b * y2
-    p3x = c * x3
-    words = np.empty((3, len(a)))
-    np.add(x, p3x, out=words[0])
-    np.add(y, c * y3, out=words[1])
-    np.add((a * z1 + ha * x1 * y1) + (b * z2 + hb * x2 * y2) + p1y * p2x
-           + c * z3, y * p3x, out=words[2])
-    return words
+    a, b, c = _SHELL2_GRID if n == 2 else _exponent_grid(int(n))
+    return np.array(compose(compose(power(lattice.t1, a), power(lattice.t2, b)),
+                            power(lattice.tau3, c)))
 
 
 def lattice_points_in_shell(lattice: Lattice, n: int) -> list:
