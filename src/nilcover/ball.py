@@ -144,12 +144,16 @@ def sphere_mesh(R: float, n_theta: int, n_phi: int, m_image=False) -> SphereMesh
     """Watertight triangle mesh of the sphere on a (theta, phi) grid.
 
     n_theta+1 latitude rings plus two pole vertices; 2*n_phi*(n_theta+1)
-    triangles.  With m_image=True vertices are emitted in the sheared
-    coordinates instead of model coordinates.
+    triangles.  n_theta and n_phi are integers of at least 4; an integral
+    float is taken as that integer.  With m_image=True vertices are emitted
+    in the sheared coordinates instead of model coordinates.
     """
     R = _check_radius(R)
+    if not (float(n_theta).is_integer() and float(n_phi).is_integer()):
+        raise DomainError("mesh resolution must be integers")
     if n_theta < 4 or n_phi < 4:
         raise DomainError("mesh resolution must be at least 4x4")
+    n_theta, n_phi = int(n_theta), int(n_phi)
     rings = n_theta + 1
     verts = []
     for i in range(rings):

@@ -24,8 +24,8 @@ from .ball import ball_volume
 from .core import Point, inverse, translate
 from .errors import (DegenerateGeometryError, DomainError, NilcoverError,
                      NoSolutionError)
-from .geodesic import (PI, TWO_PI, _profile, _profile_fj, _reduced,
-                       _relative_target, distance_to_origin)
+from .geodesic import (PI, TWO_PI, _profile, _profile_array, _profile_fj,
+                       _reduced, _relative_target, distance_to_origin)
 from .lattice import (DOMAIN_TETRAHEDRA, Lattice, LatticeBasis, _shell_words,
                       domain_tetrahedra, domain_volume, fundamental_domain,
                       lattice_from_params)
@@ -334,50 +334,25 @@ def verify_covering(lattice: Lattice, R: float,
 _TABLE_CELLS = 256
 _ROUNDING = 16 * np.finfo(float).eps
 
-# the 257 pitches theta in [0, pi/2] the profile table is tabulated at:
-# their sines, which rise along the grid, their cosines, and the factor
-# c^2 w / 2 of _profile_array's Z, which does not depend on R.  The table
-# runs only at R <= pi, where the sheared ball is convex, so the polyline
-# through the profile points lies inside it whatever the grid (see
-# _table_limit); a pitch step h gives up a sliver about R h^2 / 8 thick
-# next to the sphere, under 5e-6 R here.
-_PITCH_SIN = np.sin(np.linspace(0.0, 0.5 * PI, 257))
-_PITCH_COS = np.cos(np.linspace(0.0, 0.5 * PI, 257))
-_PITCH_CCW = 0.5 * _PITCH_COS * _PITCH_COS * _PITCH_SIN
+# the 257 pitches theta in [0, pi/2] the profile table is tabulated at.
+# The table runs only at R <= pi, where the sheared ball is convex, so the
+# polyline through the profile points lies inside it whatever the grid
+# (see _table_limit); a pitch step h gives up a sliver about R h^2 / 8
+# thick next to the sphere, under 5e-6 R here.
+_PITCH = np.linspace(0.0, 0.5 * PI, 257)
+
+# the table test accepts only points at least this far inside the ball in rho
+_MARGIN = 1e-6
 
 
-def _pitch_profile(R: float):
-    """The profile (X, Z) at R on the pitch grid, bit for bit
-    _profile_array(R, linspace(0, pi/2, 257)): points of the sphere, whose
-    polyline lies inside the ball when it is convex, at R <= pi.
-
-    u = R sin(theta) rises along the grid, so each series branch applies
-    on a prefix of it, and each branch is evaluated only where it applies.
-    """
-    u = _PITCH_SIN * R
-    v = 0.5 * u
-    i, j = np.searchsorted(u, 0.1), np.searchsorted(v, 1e-6)
-    sinc = np.empty_like(u)
-    v2 = v[:j] * v[:j]
-    sinc[:j] = 1.0 - v2 / 6.0 + v2 * v2 / 120.0
-    sinc[j:] = np.sin(v[j:]) / v[j:]
-    g = np.empty_like(u)
-    u2 = u[:i] * u[:i]
-    g[:i] = 1.0 / 6 - u2 / 120 + u2 * u2 / 5040 - u2 * u2 * u2 / 362880
-    us = u[i:]
-    g[i:] = (us - np.sin(us)) / (us * us * us)
-    return _PITCH_COS * R * sinc, u + _PITCH_CCW * R ** 3 * g
-
-
-def _table_limit(R: float, margin: float):
-    """The horizontal reach of the R ball, lowered by at least margin, as a
+def _table_limit(R: float):
+    """The horizontal reach of the R ball, lowered by at least _MARGIN, as a
     function of zs = |zeta| in [0, R]: the limit of the table test.
 
     Needs R <= pi.  There the sheared ball is convex (is_m_image_convex),
     and so is its meridian {rho <= X(|zeta|)} in the (zeta, rho)
     half-plane, where Z rises with the pitch theta (see max_vertical_chord).
-    The profile at the pitch grid's 257 thetas (_pitch_profile, from the
-    grid's sines and cosines taken once) is a polyline (Z_j, X_j) whose
+    The profile at the 257 pitches of _PITCH is a polyline (Z_j, X_j) whose
     vertices lie on the sphere, so every chord of it lies inside the
     meridian: the polyline is an inner bound of the ball on any grid.  It
     is resampled once onto a uniform grid of _TABLE_CELLS cells over
@@ -385,14 +360,14 @@ def _table_limit(R: float, margin: float):
     binary search.  The resampled polyline minus the theta polyline is
     piecewise linear and 0 at the grid knots, so its largest value dev is
     taken at some Z_j; by convexity dev is no more than rounding.  The
-    grid is lowered by dev + margin plus a rounding allowance of a few
+    grid is lowered by dev + _MARGIN plus a rounding allowance of a few
     ulps of R, so the limit never exceeds the theta polyline lowered by
-    margin: the test accepts only points at least margin inside the ball
+    _MARGIN: the test accepts only points at least _MARGIN inside the ball
     in rho.  A running minimum keeps the lowered grid from rising where
     rounding would lift it, so the limit falls as zs grows, as the
     profile's reach does.
     """
-    X, Z = _pitch_profile(R)
+    X, Z = _profile_array(R, _PITCH)
     scale = _TABLE_CELLS / R
 
     def lookup(table, steps, zs):
@@ -402,21 +377,21 @@ def _table_limit(R: float, margin: float):
 
     Xg = np.interp(np.linspace(0.0, R, _TABLE_CELLS + 1), Z, X)
     dev = max(float(np.max(lookup(Xg, np.diff(Xg), Z) - X)), 0.0)
-    low = np.minimum.accumulate(Xg - (dev + margin + _ROUNDING * R))
+    low = np.minimum.accumulate(Xg - (dev + _MARGIN + _ROUNDING * R))
     steps = np.diff(low)
     return lambda zs: lookup(low, steps, zs)
 
 
 def _table_survivors(pts, cell_of, inv_sweep, inv_corners, cells,
-                     R: float, margin: float) -> np.ndarray:
+                     R: float) -> np.ndarray:
     """Indices of the points (rows of pts in the unit cube, lying in the
     grid cells cell_of) that a sheared profile-table test cannot place
-    within R - margin of a shell word, once mapped onto the box.
+    within R - _MARGIN of a shell word, once mapped onto the box.
 
     A point passes when its horizontal distance rho to a word is within
     _table_limit at its |zeta|; distances are compared squared, and the
     limit must be nonnegative.  The profile never reaches past X = R, so
-    only points with rho <= R - margin and |zeta| <= R can pass, and the
+    only points with rho <= R - _MARGIN and |zeta| <= R can pass, and the
     table is read for those alone.
 
     cells is (centers, order, M): the cell centers on the box as a (3, C)
@@ -432,8 +407,8 @@ def _table_survivors(pts, cell_of, inv_sweep, inv_corners, cells,
     all inverse shell words but the box corners, which those points have
     failed, so the survivors are those of every word.
     """
-    limit = _table_limit(R, margin)
-    cut2 = (R - margin) ** 2
+    limit = _table_limit(R)
+    cut2 = (R - _MARGIN) ** 2
 
     def accepted(rho2, zs):
         near = np.flatnonzero((zs <= R) & (rho2 <= cut2))
@@ -581,7 +556,6 @@ def _sample_check(lattice: Lattice, R: float, n_samples: int,
     inv_corners = inv[:, _CORNER_WORDS]
     cells = ((centers @ M).T, order, M)
 
-    margin = 1e-6
     worst_d = -1.0
     worst_p = None
 
@@ -600,18 +574,16 @@ def _sample_check(lattice: Lattice, R: float, n_samples: int,
     measure(np.array(probes, float).reshape(-1, 3))
     # the table test settles the bulk, at the radius verify_covering explains
     T = min(max(R, worst_d), PI)
-    alive = _table_survivors(pts, cell_of, inv_sweep, inv_corners, cells, T,
-                             margin)
+    alive = _table_survivors(pts, cell_of, inv_sweep, inv_corners, cells, T)
     while len(alive):
         chunk, alive = alive[:64], alive[64:]
         measure(pts[chunk] @ M)
         if len(alive) and min(worst_d, PI) > T:
-            # a sample the table places within T - margin cannot beat the
+            # a sample the table places within T - _MARGIN cannot beat the
             # worst distance found so far
             T = min(worst_d, PI)
             alive = alive[_table_survivors(pts[alive], cell_of[alive],
-                                           inv_sweep, inv_corners, cells, T,
-                                           margin)]
+                                           inv_sweep, inv_corners, cells, T)]
     if worst_p is None:
         return CoverageResult(covered=True, radius=R, samples=n_samples)
     return CoverageResult(covered=False, radius=R, samples=n_samples,

@@ -59,32 +59,29 @@ _ROOT_TOL = 1e-10
 # near zero so everything stays smooth
 
 def _profile_array(R: float, theta: np.ndarray):
-    """The profile over an array of theta, with _profile_fj's series
-    switches.
+    """The profile (X, Z) at R > 0 over ascending pitches theta in
+    [0, pi/2], with _profile_fj's series switches.
 
-    Both branches of each switch are evaluated, so the division runs on a
-    stand-in denominator of 1 where the series applies.  The covering
-    module's profile table (_pitch_profile) evaluates each branch only
-    where it applies, on a fixed pitch grid; the tests hold the two equal
-    bit for bit.
+    u = R sin(theta) rises along theta, so each series branch applies on
+    a prefix of it, and each branch is evaluated only where it applies.
+    At R <= pi the polyline through these points of the sphere lies inside
+    the ball, which is convex there (see covering._table_limit).
     """
     w = np.sin(theta)
     c = np.cos(theta)
     u = w * R
     v = 0.5 * u
-    v2 = v * v
-    small = np.abs(v) < 1e-6
-    vs = np.where(small, 1.0, v)
-    sinc = np.where(small, 1.0 - v2 / 6.0 + v2 * v2 / 120.0, np.sin(vs) / vs)
-    u2 = u * u
-    small = np.abs(u) < 0.1
-    us = np.where(small, 1.0, u)
-    g = np.where(small,
-                 1.0 / 6 - u2 / 120 + u2 * u2 / 5040 - u2 * u2 * u2 / 362880,
-                 (us - np.sin(us)) / (us * us * us))
-    X = c * R * sinc
-    Z = w * R + 0.5 * c * c * w * R ** 3 * g
-    return X, Z
+    i, j = np.searchsorted(u, 0.1), np.searchsorted(v, 1e-6)
+    sinc = np.empty_like(u)
+    v2 = v[:j] * v[:j]
+    sinc[:j] = 1.0 - v2 / 6.0 + v2 * v2 / 120.0
+    sinc[j:] = np.sin(v[j:]) / v[j:]
+    g = np.empty_like(u)
+    u2 = u[:i] * u[:i]
+    g[:i] = 1.0 / 6 - u2 / 120 + u2 * u2 / 5040 - u2 * u2 * u2 / 362880
+    us = u[i:]
+    g[i:] = (us - np.sin(us)) / (us * us * us)
+    return c * R * sinc, u + 0.5 * c * c * w * R ** 3 * g
 
 
 def _profile_fj(R: float, theta: float):

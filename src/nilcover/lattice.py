@@ -4,10 +4,10 @@ A lattice is generated by two translations whose horizontal projections are
 independent; their commutator is a vertical translation, and taking its k-th
 root as a third generator closes the group.  The fundamental domain is a
 skew parallelepiped with vertical sides, cut into six tetrahedra.  For k = 1
-it tiles the space under the lattice action.  For k >= 2 it does not: its
-vertex T21 = tau2 tau1 lies k steps of tau3 above T12 instead of one, so the
-solid is too tall and its translates overlap (tiling_spot_check counts
-the overlapping samples).
+it tiles the space under the lattice action.  For k >= 2 it does not:
+fundamental_domain puts the vertex T21 = tau2 tau1 k steps of tau3 above T12
+instead of one, so the solid is too tall and its translates overlap
+(tiling_spot_check counts the overlapping samples).
 """
 
 from __future__ import annotations
@@ -124,6 +124,13 @@ class FundamentalDomain:
 
 
 def fundamental_domain(lattice: Lattice) -> FundamentalDomain:
+    """The nine vertices of the lattice's fundamental solid.
+
+    T21 = tau2 tau1 is put at T12 + (0, 0, fibre), k steps of tau3 above
+    T12 instead of one: that is the k >= 2 domain defect of the module
+    docstring.  The tiling check takes its solid from here for every k
+    (_tiling_table), so a fix here reaches it too.
+    """
     t11, _, t13 = lattice.t1
     t21, t22, t23 = lattice.t2
     v = t11 * t22
@@ -245,34 +252,24 @@ def _lattice_coordinates(lattice: Lattice, x, y, z) -> tuple:
     return u, v, (z - u * t13 - v * t23) / tau
 
 
-def _domain_coordinates(k: int) -> FundamentalDomain:
-    """fundamental_domain's vertices in lattice coordinates (u, v, h), the
-    same for every lattice with fibre divisor k.
-
-    Each coordinate is 0 or 1, except the heights of T21 = tau2 tau1 and of
-    T213 above it: T21 = T12 + (0, 0, fibre) lies k steps of tau3 above T12,
-    which is the k >= 2 domain defect of the module docstring.
-    """
-    return FundamentalDomain(
-        O=(0, 0, 0), T1=(1, 0, 0), T2=(0, 1, 0), T3=(0, 0, 1),
-        T12=(1, 1, 0), T13=(1, 0, 1), T21=(1, 1, k), T23=(0, 1, 1),
-        T213=(1, 1, k + 1))
-
-
 @functools.lru_cache(maxsize=8)
 def _tiling_table(k: int) -> tuple:
-    """The tiling check's geometry for fibre divisor k, built from the exact
-    vertex coordinates of _domain_coordinates(k): (bary, start, steps).
+    """The tiling check's geometry for fibre divisor k: (bary, start, steps).
 
-    bary holds the four barycentric coordinates of the six tetrahedra as
-    one read-only (24, 4) map of the homogeneous lattice coordinates
-    (1, u, v, h); rows by coordinate, then tetrahedron.  The candidate
-    exponents along the i-th lattice coordinate q are floor(q - start[i])
-    - steps[i], as in tiling_spot_check.
+    The solid's vertices come from fundamental_domain of the reference
+    lattice t1 = (1, 0, 0), t2 = (0, k, 0), whose tau3 is (0, 0, 1): there
+    every coordinate is a small integer and every step of the map to
+    lattice coordinates is exact.  bary holds the four barycentric
+    coordinates of the six tetrahedra as one read-only (24, 4) map of the
+    homogeneous lattice coordinates (1, u, v, h); rows by coordinate, then
+    tetrahedron.  The candidate exponents along the i-th lattice
+    coordinate q are floor(q - start[i]) - steps[i], as in
+    tiling_spot_check.
     """
-    verts = _domain_coordinates(k).as_dict()
-    tets = np.array([[verts[label] for label in tet]
-                     for tet in DOMAIN_TETRAHEDRA], float)
+    ref = lattice_from_params(LatticeBasis((1.0, 0.0, 0.0), (0.0, k, 0.0), k))
+    verts = fundamental_domain(ref).as_dict()
+    tets = np.array([[_lattice_coordinates(ref, *verts[label])
+                      for label in tet] for tet in DOMAIN_TETRAHEDRA], float)
     homog = np.ones((6, 4, 4))
     homog[..., 1:] = tets
     bary = np.linalg.inv(homog).transpose(2, 0, 1).reshape(24, 4)
@@ -314,18 +311,17 @@ def tiling_spot_check(lattice: Lattice, samples: int = 1000,
     and since tau3 is central, c lowers its height by exactly c.
 
     In these coordinates the solid is the same for every lattice with the
-    same k.  Its vertices have u, v and h equal to 0 or 1, except that
-    T21 = tau2 tau1 has h = k: that is where the k >= 2 domain defect of
-    the module docstring shows.  The barycentric maps of the six
-    tetrahedra and the exponent ranges below are built from these integer
-    coordinates once per k (_tiling_table), and each call only maps its
-    samples to lattice coordinates, in closed form.
+    same k.  So the barycentric maps of the six tetrahedra and the
+    exponent ranges below are built once per k, from the exact vertex
+    coordinates of a reference lattice (_tiling_table), and each call only
+    maps its samples to lattice coordinates, in closed form.
 
     A point of a tetrahedron inflated by eps is an affine combination of
     its vertices with weights of at least -eps, at most three of them
     negative, so each lattice coordinate stays within 3*eps*w of the
     vertices' range [lo, lo + w] of that coordinate: [0, 1] for u and v,
-    [0, k] for h.  So for a margin delta >= 3*eps, the exponents
+    [0, k] for h, which T21 reaches (see fundamental_domain).  So for a
+    margin delta >= 3*eps, the exponents
 
         n = floor(q - lo + delta*w) - j,   j = 0, ..., floor(w + 2*delta*w)
 

@@ -206,6 +206,13 @@ def test_mesh_domain():
         sphere_mesh(7.0, n_theta=8, n_phi=12)
     with pytest.raises(DomainError):
         sphere_mesh(1.0, n_theta=3, n_phi=12)
+    # a resolution must be integral; an integral float is taken as that
+    # integer
+    for n_theta, n_phi in ((4.5, 8), (8, 4.5), (math.nan, 8), (8, math.inf)):
+        with pytest.raises(DomainError):
+            sphere_mesh(1.0, n_theta, n_phi)
+    assert sphere_mesh(1.0, 8.0, 8.0) == sphere_mesh(1.0, 8, 8)
+    assert sphere_mesh(1.0, 8.0, 8.0).resolution == (8, 8)
 
 
 def test_hull_gap_detects_convexity():

@@ -261,25 +261,26 @@ def test_passing_probes_measure_one_word_each(monkeypatch):
 
 
 def test_profile_array_matches_scalar_profile():
-    thetas = np.linspace(0.0, 0.5 * math.pi, 4001)
+    # at the profile table's pitches, whether a series branch covers all of
+    # the grid, a part of it, or only its first pitch, theta = 0
+    thetas = covering._PITCH
+    assert np.all(np.diff(np.sin(thetas)) >= 0.0)
+    prefixes = set()
     for R in (1e-3, 0.19, 0.2, 0.9, math.pi):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             X, Z = geodesic._profile_array(R, thetas)
-        ref = np.array([geodesic._profile(R, t) for t in thetas])
+        ref = _scalar_profile_table(R)
         assert np.max(np.abs(X - ref[:, 0])) <= 1e-14
         assert np.max(np.abs(Z - ref[:, 1])) <= 1e-14
-
-
-def _pitch_grid():
-    # the pitches of covering's profile table
-    return np.linspace(0.0, 0.5 * math.pi, covering._PITCH_SIN.size)
+        u = R * np.sin(thetas)
+        prefixes |= {np.count_nonzero(u < 0.1), np.count_nonzero(u < 2e-6)}
+    assert {1, thetas.size} < prefixes
 
 
 @functools.lru_cache(maxsize=None)
 def _scalar_profile_table(R):
-    thetas = _pitch_grid()
-    return np.array([geodesic._profile(R, t) for t in thetas])
+    return np.array([geodesic._profile(R, t) for t in covering._PITCH])
 
 
 def _reference_survivors(sx, sy, sz, inv_words, R, margin):
@@ -317,12 +318,13 @@ def test_table_survivors_match_unfiltered_reference():
         inv_corners = np.array(inverse(words[:, covering._CORNER_WORDS]))
         cells = ((centers @ M).T, order, M)
         for R in (0.3, 0.7, 0.90293941 * (1 + 1e-6), 1.5, math.pi):
-            want = _reference_survivors(sx, sy, sz, inv_words, R, 1e-6)
+            want = _reference_survivors(sx, sy, sz, inv_words, R,
+                                        covering._MARGIN)
             got = covering._table_survivors(pts, cell_of, inv_words,
-                                            inv_corners, cells, R, 1e-6)
+                                            inv_corners, cells, R)
             assert np.array_equal(got, want)
             got = covering._table_survivors(pts[sub], cell_of[sub], inv_words,
-                                            inv_corners, cells, R, 1e-6)
+                                            inv_corners, cells, R)
             assert np.array_equal(sub[got], np.intersect1d(want, sub))
 
 
@@ -340,22 +342,6 @@ def test_mapped_subsets_match_full_map():
         subsets += [rng.choice(len(pts), n, replace=False) for n in (1, 5, 64)]
         for sub in subsets:
             assert (pts[sub] @ M).tobytes() == full[sub].tobytes()
-
-
-def test_pitch_profile_matches_profile_array():
-    # the profile table from the fixed pitch constants is bit for bit the
-    # profile over the same pitch grid, whether a series branch covers all
-    # of the grid, a part of it, or only its first pitch, theta = 0
-    thetas = _pitch_grid()
-    assert np.all(np.diff(covering._PITCH_SIN) >= 0.0)
-    prefixes = set()
-    for R in (1e-3, 0.19, 0.2, 0.9, math.pi):
-        X, Z = covering._pitch_profile(R)
-        want_X, want_Z = geodesic._profile_array(R, thetas)
-        assert np.array_equal(X, want_X) and np.array_equal(Z, want_Z)
-        u = R * np.sin(thetas)
-        prefixes |= {np.count_nonzero(u < 0.1), np.count_nonzero(u < 2e-6)}
-    assert {1, thetas.size} < prefixes
 
 
 def test_table_sweep_skips_corner_words(monkeypatch):
@@ -443,11 +429,11 @@ def test_table_limit_below_theta_table():
     # the uniform-grid lookup, lowered past its resampling error, never
     # exceeds the theta-table lookup lowered by the margin, at the table's
     # breakpoints Z_j and on a dense zeta grid in between
-    margin = 1e-6
+    margin = covering._MARGIN
     for R in (1e-3, 0.19, 0.2, 0.9, math.pi):
-        X, Z = geodesic._profile_array(R, _pitch_grid())
+        X, Z = geodesic._profile_array(R, covering._PITCH)
         zs = np.concatenate([np.linspace(0.0, R, 200001), Z[Z <= R]])
-        lim = covering._table_limit(R, margin)(zs)
+        lim = covering._table_limit(R)(zs)
         assert np.all(lim <= np.interp(zs, Z, X) - margin)
         # and it never rises in zs, so the points it accepts form a
         # down-set in (|zeta|, rho), which the cell pass relies on
@@ -459,9 +445,9 @@ def test_pitch_polyline_inside_ball():
     # table's profile points lies inside it: Z rises along the pitch grid,
     # and at the quarter points and midpoint of every pitch interval the
     # polyline reaches no farther than the profile at the same height
-    thetas = _pitch_grid()
+    thetas = covering._PITCH
     for R in (1e-3, 0.19, 0.2, 0.9, 2.0, 3.0, math.pi):
-        X, Z = covering._pitch_profile(R)
+        X, Z = geodesic._profile_array(R, thetas)
         assert np.all(np.diff(Z) > 0.0)
         for q in (0.25, 0.5, 0.75):
             inner = thetas[:-1] + q * np.diff(thetas)

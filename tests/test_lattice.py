@@ -399,15 +399,27 @@ def test_lattice_coordinates_match_inverse_basis():
 
 
 def test_tiling_table_matches_fundamental_domain():
-    # the per-k table of vertex coordinates is the fundamental domain
-    # mapped to lattice coordinates: a change to one must change the other
+    # in lattice coordinates every lattice's solid is that of the reference
+    # lattice t1 = (1, 0, 0), t2 = (0, k, 0), whose coordinates are
+    # integers; the per-k table's barycentric maps take each tetrahedron's
+    # reference vertices to the unit vectors
     for lat in seeded_lattices():
-        dom = fundamental_domain(lat).as_dict()
-        table = lattice._domain_coordinates(lat.k).as_dict()
-        assert table.keys() == dom.keys()
-        for label, q in table.items():
-            got = lattice._lattice_coordinates(lat, *dom[label])
-            assert close(got, q, tol=1e-12), (lat.k, label)
+        ref = lattice_from_params(
+            LatticeBasis((1.0, 0.0, 0.0), (0.0, lat.k, 0.0), lat.k))
+        ref_dom = fundamental_domain(ref).as_dict()
+        want = {label: lattice._lattice_coordinates(ref, *p)
+                for label, p in ref_dom.items()}
+        assert all(float(q).is_integer() for v in want.values() for q in v)
+        for label, p in fundamental_domain(lat).as_dict().items():
+            got = lattice._lattice_coordinates(lat, *p)
+            assert close(got, want[label], tol=1e-12), (lat.k, label)
+        bary = lattice._tiling_table(lat.k)[0]
+        for t, tet in enumerate(lattice.DOMAIN_TETRAHEDRA):
+            for j, label in enumerate(tet):
+                homog = np.array((1.0,) + want[label])
+                weights = (bary @ homog).reshape(4, 6)[:, t]
+                assert np.allclose(weights, np.eye(4)[j], rtol=0.0,
+                                   atol=1e-12), (lat.k, t, label)
 
 
 def test_tiling_needs_no_linear_algebra_per_call(monkeypatch):
