@@ -400,16 +400,23 @@ def test_lattice_coordinates_match_inverse_basis():
 
 def test_tiling_table_matches_fundamental_domain():
     # in lattice coordinates every lattice's solid is that of the reference
-    # lattice t1 = (1, 0, 0), t2 = (0, k, 0), whose coordinates are
-    # integers; the per-k table's barycentric maps take each tetrahedron's
-    # reference vertices to the unit vectors
+    # lattice t1 = (1, 0, 0), t2 = (0, k, 0): each coordinate 0 or 1, except
+    # the heights k and k + 1 of T21 and T213 (the k >= 2 domain defect; a
+    # fix to fundamental_domain changes these two values with it).  The
+    # per-k table's barycentric maps take each tetrahedron's reference
+    # vertices to the unit vectors
     for lat in seeded_lattices():
+        k = lat.k
+        want = dict(O=(0, 0, 0), T1=(1, 0, 0), T2=(0, 1, 0), T3=(0, 0, 1),
+                    T12=(1, 1, 0), T13=(1, 0, 1), T21=(1, 1, k),
+                    T23=(0, 1, 1), T213=(1, 1, k + 1))
         ref = lattice_from_params(
-            LatticeBasis((1.0, 0.0, 0.0), (0.0, lat.k, 0.0), lat.k))
+            LatticeBasis((1.0, 0.0, 0.0), (0.0, k, 0.0), k))
         ref_dom = fundamental_domain(ref).as_dict()
-        want = {label: lattice._lattice_coordinates(ref, *p)
-                for label, p in ref_dom.items()}
-        assert all(float(q).is_integer() for v in want.values() for q in v)
+        assert ref_dom.keys() == want.keys()
+        for label, p in ref_dom.items():
+            assert lattice._lattice_coordinates(ref, *p) == want[label], (
+                k, label)
         for label, p in fundamental_domain(lat).as_dict().items():
             got = lattice._lattice_coordinates(lat, *p)
             assert close(got, want[label], tol=1e-12), (lat.k, label)
