@@ -10,7 +10,8 @@ The profile height Z(R, theta) rises while u = R sin(theta) < pi and falls
 after (the fold rule, proved in max_vertical_chord).  The longest vertical
 chord, 2R up to R = pi and (R^2 + pi^2)/pi beyond, and the pitch
 asin(pi/R) where the sheared ball stops being convex are closed forms of
-that one fact; only the volume is an integral.
+that one fact; only the volume is an integral, a fixed Gauss-Legendre sum
+over the profile.
 """
 
 from __future__ import annotations
@@ -58,22 +59,57 @@ def sphere_point(R: float, theta: float, phi: float) -> Point:
     return m_inverse((p.X * math.cos(phi), p.X * math.sin(phi), p.Z))
 
 
+def _legendre(n: int, x: float):
+    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    p0, p1 = 1.0, x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
+def _gauss_legendre(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Each node is Newton's root of P_n from the start cos(pi (i + 3/4) /
+    (n + 1/2)), and its weight 2 / ((1 - x^2) P_n'(x)^2) is taken at the
+    converged node.
+    """
+    nodes, weights = [], []
+    for i in range(n):
+        x = math.cos(PI * (i + 0.75) / (n + 0.5))
+        dx = 1.0
+        while abs(dx) > 1e-15:
+            p, dp = _legendre(n, x)
+            dx = p / dp
+            x -= dx
+        _, dp = _legendre(n, x)
+        nodes.append(x)
+        weights.append(2.0 / ((1.0 - x * x) * dp * dp))
+    return nodes, weights
+
+
+# ball_volume's rule as (pitch, weight) pairs on [0, pi/2]: 17 nodes are the
+# fewest that keep the volume within 1e-13 relative of a 30-digit reference
+# at every radius in (0, 2*pi] (16 nodes are 1.3e-13 off near R = 5.8)
+_VOLUME_NODES = 17
+_VOLUME_RULE = tuple((0.25 * PI * (x + 1.0), 0.25 * PI * w)
+                     for x, w in zip(*_gauss_legendre(_VOLUME_NODES)))
+
+
 def ball_volume(R: float) -> float:
-    """Volume of the geodesic ball of radius R (the model volume element is
-    the Euclidean one, so this is a body-of-revolution integral over the
-    sheared profile)."""
-    from scipy.integrate import quad
+    """Volume of the geodesic ball of radius R.
 
+    The model volume element is the Euclidean one, so this is the body of
+    revolution of the sheared profile: 2 pi times the integral of
+    X^2 dZ/dtheta over theta in [0, pi/2], summed with _VOLUME_RULE (every
+    X is 0 at R = 0, so the sum is 0.0 there).
+    """
     R = _check_radius(R, allow_zero=True)
-    if R == 0.0:
-        return 0.0
-
-    def integrand(theta):
+    total = 0.0
+    for theta, weight in _VOLUME_RULE:
         X, _, _, _, dZdt, _ = _profile_fj(R, theta)
-        return X * X * dZdt
-
-    val, _err = quad(integrand, 0.0, 0.5 * PI, epsabs=1e-13, epsrel=1e-12, limit=200)
-    return TWO_PI * val
+        total += weight * X * X * dZdt
+    return TWO_PI * total
 
 
 def is_ball_convex(R: float) -> bool:

@@ -101,11 +101,11 @@ def _load_lattice(args) -> lattice.Lattice:
     if len(values) not in (6, 7):
         raise DomainError("--lattice needs t11,t12,t13,t21,t22,t23[,k]")
     try:
-        nums = [float(v) for v in values[:6]]
-        k = int(values[6]) if len(values) == 7 else 1
+        nums = [float(v) for v in values]
     except ValueError as exc:
         raise DomainError("invalid lattice parameters: %s" % exc)
-    basis = lattice.LatticeBasis(t1=tuple(nums[:3]), t2=tuple(nums[3:]), k=k)
+    basis = lattice.LatticeBasis(t1=tuple(nums[:3]), t2=tuple(nums[3:6]),
+                                 k=nums[6] if len(nums) == 7 else 1)
     return lattice.lattice_from_params(basis)
 
 

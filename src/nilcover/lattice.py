@@ -44,9 +44,13 @@ class LatticeBasis:
         object.__setattr__(self, "t2", tuple(float(v) for v in self.t2))
         if not all(math.isfinite(v) for v in self.t1 + self.t2):
             raise DomainError("generator components must be finite")
-        if int(self.k) != self.k or self.k < 1:
+        try:
+            k = float(self.k)
+        except OverflowError:  # an int past the float range
+            k = math.inf
+        if not (k.is_integer() and k >= 1):
             raise DomainError("k must be a positive integer")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", int(k))
 
     def to_dict(self) -> dict:
         return {"t1": list(self.t1), "t2": list(self.t2), "k": self.k}

@@ -168,14 +168,35 @@ def test_lattice_file_is_json_only(tmp_path, capsys):
 
 
 def test_lattice_file_rejects_fractional_k(tmp_path, capsys):
-    # k = 1.5 is no fibre divisor; the file must not be read as k = 1
+    # k = 1.5 is no fibre divisor, nor is k = inf or nan; none must be read
+    # as another k, and each exits with the usage code from a file or inline
+    f = tmp_path / "lat.json"
+    for k in ("1.5", "Infinity", "1e400", "NaN", "1" * 400):
+        f.write_text('{"t1": [1.0, 0.0, 0.0], "t2": [0.0, 1.0, 0.0], '
+                     '"k": %s}' % k)
+        for source in (("--lattice-file", str(f)),
+                       ("--lattice", "1,0,0,0,1,0," + k)):
+            code, _, err = run_cli(capsys, "lattice", "volume", *source)
+            assert code == 2, (k, source)
+            assert "k must be a positive integer" in err
+
+
+def test_integral_float_k_is_that_integer(tmp_path, capsys):
     f = tmp_path / "lat.json"
     f.write_text(json.dumps({"t1": [1.0, 0.0, 0.0], "t2": [0.0, 1.0, 0.0],
-                             "k": 1.5}))
-    code, _, err = run_cli(capsys, "lattice", "volume", "--lattice-file",
-                           str(f))
-    assert code == 2
-    assert "k must be a positive integer" in err
+                             "k": 2.0}))
+    volumes = []
+    for source in (("--lattice", "1,0,0,0,1,0,2"),
+                   ("--lattice", "1,0,0,0,1,0,2.0"),
+                   ("--lattice-file", str(f))):
+        code, out, _ = run_cli(capsys, "lattice", "volume", *source, "--json")
+        assert code == 0
+        volumes.append(json.loads(out)["domain_volume"])
+    assert volumes == [0.5] * 3
+    code, out, _ = run_cli(capsys, "lattice", "volume", "--lattice",
+                           "1,0,0,0,1,0,1e3", "--json")
+    assert code == 0
+    assert json.loads(out)["domain_volume"] == 1e-3
 
 
 def test_circumball(capsys):

@@ -230,8 +230,11 @@ def test_basis_round_trip():
 def test_degenerate_basis_rejected():
     with pytest.raises(DegenerateLatticeError):
         lattice_from_params(LatticeBasis(t1=(1.0, 0.0, 0.0), t2=(2.0, 0.0, 0.0), k=1))
-    with pytest.raises((DomainError, ValueError)):
-        LatticeBasis(t1=(1.0, 0.0, 0.0), t2=(0.0, 1.0, 0.0), k=0)
+    for k in (0, 1.5, math.inf, math.nan, 10 ** 400):
+        with pytest.raises(DomainError):
+            LatticeBasis(t1=(1.0, 0.0, 0.0), t2=(0.0, 1.0, 0.0), k=k)
+    basis = LatticeBasis(t1=(1.0, 0.0, 0.0), t2=(0.0, 1.0, 0.0), k=3.0)
+    assert basis.k == 3 and type(basis.k) is int
 
 
 def test_tiling_spot_checks():
