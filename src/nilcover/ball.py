@@ -23,14 +23,12 @@ import numpy as np
 
 from .constants import BALL_CONVEXITY_MAX_RADIUS, M_IMAGE_CONVEXITY_MAX_RADIUS
 from .core import Point, m_inverse
-from .errors import DomainError
+from .errors import DomainError, _finite_number, _whole_number
 from .geodesic import PI, TWO_PI, _profile, _profile_fj
 
 
 def _check_radius(R: float, allow_zero=False) -> float:
-    R = float(R)
-    if not math.isfinite(R):
-        raise DomainError("radius must be finite")
+    R = _finite_number(R, "radius must be a finite number")
     if R > TWO_PI + 1e-12:
         raise DomainError("no geodesic sphere of radius %g > 2*pi" % R)
     if R < 0.0 or (R == 0.0 and not allow_zero):
@@ -185,11 +183,9 @@ def sphere_mesh(R: float, n_theta: int, n_phi: int, m_image=False) -> SphereMesh
     in the sheared coordinates instead of model coordinates.
     """
     R = _check_radius(R)
-    if not (float(n_theta).is_integer() and float(n_phi).is_integer()):
-        raise DomainError("mesh resolution must be integers")
-    if n_theta < 4 or n_phi < 4:
-        raise DomainError("mesh resolution must be at least 4x4")
-    n_theta, n_phi = int(n_theta), int(n_phi)
+    message = "mesh resolution must be integers of at least 4"
+    n_theta = _whole_number(n_theta, 4, math.inf, message)
+    n_phi = _whole_number(n_phi, 4, math.inf, message)
     rings = n_theta + 1
     verts = []
     for i in range(rings):

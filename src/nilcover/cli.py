@@ -89,11 +89,10 @@ def _render(report: dict, as_json: bool) -> str:
 
 def _load_lattice(args) -> lattice.Lattice:
     if getattr(args, "lattice_file", None):
-        with open(args.lattice_file) as fh:
-            raw = fh.read()
+        # an OSError is not caught here: it exits 4, the I/O code
         try:
-            data = json.loads(raw)
-            basis = lattice.LatticeBasis.from_dict(data)
+            with open(args.lattice_file, encoding="utf-8") as fh:
+                basis = lattice.LatticeBasis.from_dict(json.load(fh))
         except (ValueError, KeyError, TypeError) as exc:
             raise DomainError("invalid lattice file: %s" % exc)
         return lattice.lattice_from_params(basis)

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import ball_volume
+from .ball import _check_radius, ball_volume
 from .core import Point, inverse, translate
 from .errors import (DegenerateGeometryError, DomainError, NilcoverError,
-                     NoSolutionError)
+                     NoSolutionError, _whole_number)
 from .geodesic import (PI, TWO_PI, _profile, _profile_array, _profile_fj,
                        _reduced, _relative_target, distance_to_origin)
 from .lattice import (DOMAIN_TETRAHEDRA, Lattice, LatticeBasis, _shell_words,
@@ -319,14 +319,10 @@ def verify_covering(lattice: Lattice, R: float,
     When a sample is uncovered, returns the worst uncovered sample (or
     probe) as witness, with its exact distance to the shell lattice points.
     """
-    if not 0.0 < R <= TWO_PI + 1e-12:
-        raise DomainError("covering radius must lie in (0, 2*pi]")
-    if n_samples < 1:
-        raise DomainError("need at least one sample")
-    if not float(n_samples).is_integer():
-        raise DomainError("sample count must be an integer")
-    return _sample_check(lattice, R, int(n_samples),
-                         _circumcenter_probes(lattice))
+    R = _check_radius(R)
+    n_samples = _whole_number(n_samples, 1, math.inf,
+                              "sample count must be a positive integer")
+    return _sample_check(lattice, R, n_samples, _circumcenter_probes(lattice))
 
 
 # cells of the uniform zeta grid the profile table is resampled onto, and

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Point, compose, inverse, power, rotate_z
-from .errors import DegenerateLatticeError, DomainError
+from .errors import (DegenerateLatticeError, DomainError, _finite_number,
+                     _whole_number)
 
 _DEGENERATE_TOL = 1e-12
 # largest shell index: the words are enumerated up front, (2n+1)^3 of them
@@ -40,17 +41,12 @@ class LatticeBasis:
     def __post_init__(self):
         if len(self.t1) != 3 or len(self.t2) != 3:
             raise DomainError("generators must be coordinate triples")
-        object.__setattr__(self, "t1", tuple(float(v) for v in self.t1))
-        object.__setattr__(self, "t2", tuple(float(v) for v in self.t2))
-        if not all(math.isfinite(v) for v in self.t1 + self.t2):
-            raise DomainError("generator components must be finite")
-        try:
-            k = float(self.k)
-        except OverflowError:  # an int past the float range
-            k = math.inf
-        if not (k.is_integer() and k >= 1):
-            raise DomainError("k must be a positive integer")
-        object.__setattr__(self, "k", int(k))
+        message = "generator components must be finite numbers"
+        for name in ("t1", "t2"):
+            object.__setattr__(self, name, tuple(
+                _finite_number(v, message) for v in getattr(self, name)))
+        object.__setattr__(self, "k", _whole_number(
+            self.k, 1, math.inf, "k must be a positive integer"))
 
     def to_dict(self) -> dict:
         return {"t1": list(self.t1), "t2": list(self.t2), "k": self.k}
@@ -120,11 +116,8 @@ class FundamentalDomain:
     T213: Point
 
     def as_dict(self) -> dict:
-        return {
-            "O": self.O, "T1": self.T1, "T2": self.T2, "T3": self.T3,
-            "T12": self.T12, "T13": self.T13, "T21": self.T21,
-            "T23": self.T23, "T213": self.T213,
-        }
+        """The vertices by label, in field order (a shallow copy)."""
+        return dict(vars(self))
 
 
 def fundamental_domain(lattice: Lattice) -> FundamentalDomain:
@@ -194,10 +187,9 @@ def _shell_words(lattice: Lattice, n: int) -> np.ndarray:
     Distinct exponents give distinct points: the xy-projection fixes (a, b)
     because the projected generators are independent, and then z fixes c.
     """
-    if not 0 <= n <= _MAX_SHELL or not float(n).is_integer():
-        raise DomainError("shell index must be an integer in [0, %d]"
-                          % _MAX_SHELL)
-    a, b, c = _SHELL2_GRID if n == 2 else _exponent_grid(int(n))
+    n = _whole_number(n, 0, _MAX_SHELL,
+                      "shell index must be an integer in [0, %d]" % _MAX_SHELL)
+    a, b, c = _SHELL2_GRID if n == 2 else _exponent_grid(n)
     return np.array(compose(compose(power(lattice.t1, a), power(lattice.t2, b)),
                             power(lattice.tau3, c)))
 
@@ -336,13 +328,10 @@ def tiling_spot_check(lattice: Lattice, samples: int = 1000,
     delta = 1e-6 leaves a thousand times eps for rounding.  Both counts are
     therefore exact.
     """
-    if samples < 1:
-        raise DomainError("need at least one sample")
-    if not float(samples).is_integer():
-        raise DomainError("sample count must be an integer")
-    if not (seed >= 0 and float(seed).is_integer()):
-        raise DomainError("seed must be a nonnegative integer")
-    samples, seed = int(samples), int(seed)
+    samples = _whole_number(samples, 1, math.inf,
+                            "sample count must be a positive integer")
+    seed = _whole_number(seed, 0, math.inf,
+                         "seed must be a nonnegative integer")
     bary, start, steps = _tiling_table(lattice.k)
     verts = fundamental_domain(lattice).as_dict()
     # the tetrahedra's bounding box: T213, which they do not use, lies above

@@ -83,6 +83,10 @@ def test_volume_domain():
         ball_volume(2 * math.pi + 0.01)
     with pytest.raises(DomainError):
         ball_volume(-0.5)
+    # a radius is a finite number, and an int past the float range is none
+    for R in (math.nan, math.inf, 10 ** 400, "1.0"):
+        with pytest.raises(DomainError):
+            ball_volume(R)
 
 
 def test_vertical_chords():
@@ -242,7 +246,8 @@ def test_mesh_domain():
         sphere_mesh(1.0, n_theta=3, n_phi=12)
     # a resolution must be integral; an integral float is taken as that
     # integer
-    for n_theta, n_phi in ((4.5, 8), (8, 4.5), (math.nan, 8), (8, math.inf)):
+    for n_theta, n_phi in ((4.5, 8), (8, 4.5), (math.nan, 8), (8, math.inf),
+                           (10 ** 400, 8)):
         with pytest.raises(DomainError):
             sphere_mesh(1.0, n_theta, n_phi)
     assert sphere_mesh(1.0, 8.0, 8.0) == sphere_mesh(1.0, 8, 8)

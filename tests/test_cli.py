@@ -160,11 +160,25 @@ def test_lattice_file(tmp_path, capsys):
 
 def test_lattice_file_is_json_only(tmp_path, capsys):
     f = tmp_path / "lat.csv"
-    f.write_text("1,0,0,0,1,0\n")
-    code, _, err = run_cli(capsys, "lattice", "volume", "--lattice-file",
-                           str(f))
-    assert code == 2
-    assert "invalid lattice file" in err
+    # CSV is no lattice file, nor is a file that is not UTF-8
+    for content in (b"1,0,0,0,1,0\n", b"\xff\xfe\x00{\x00"):
+        f.write_bytes(content)
+        code, _, err = run_cli(capsys, "lattice", "volume", "--lattice-file",
+                               str(f))
+        assert code == 2, content
+        assert "invalid lattice file" in err
+
+
+def test_lattice_file_generators_are_numbers(tmp_path, capsys):
+    # a string generator is not read one character at a time, and a
+    # component past the float range is not finite
+    f = tmp_path / "lat.json"
+    for t1 in ('"100"', '["1", 0, 0]', "[1%s, 0, 0]" % ("0" * 400)):
+        f.write_text('{"t1": %s, "t2": [0, 1, 0]}' % t1)
+        code, _, err = run_cli(capsys, "lattice", "volume", "--lattice-file",
+                               str(f))
+        assert code == 2, t1
+        assert "generator components must be finite numbers" in err
 
 
 def test_lattice_file_rejects_fractional_k(tmp_path, capsys):
@@ -311,6 +325,13 @@ def test_domain_error_exit_two(capsys):
                            "0,1,0")
     assert code == 2
     assert "coplanar" in err
+    # a 401-digit count passes argparse's int() but is no sample count
+    for action in (("covering", "verify", "--radius", "0.9"),
+                   ("lattice", "tiling-check")):
+        code, _, err = run_cli(capsys, *action, "--lattice", "1,0,0,0,1,0",
+                               "--samples", "1" + "0" * 400)
+        assert code == 2, action
+        assert "error:" in err and "sample count" in err
 
 
 def test_no_solution_exit_three(capsys):

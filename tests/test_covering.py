@@ -507,7 +507,8 @@ def test_verify_covering_domain():
         verify_covering(lat, 0.0)
     with pytest.raises(DomainError):
         verify_covering(lat, 2 * math.pi + 0.1)
-    for n_samples in (0, 100.5):
+    # an int past the float range is no sample count either
+    for n_samples in (0, 100.5, 10 ** 400):
         with pytest.raises(DomainError):
             verify_covering(lat, 0.9, n_samples)
 

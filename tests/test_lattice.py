@@ -230,11 +230,14 @@ def test_basis_round_trip():
 def test_degenerate_basis_rejected():
     with pytest.raises(DegenerateLatticeError):
         lattice_from_params(LatticeBasis(t1=(1.0, 0.0, 0.0), t2=(2.0, 0.0, 0.0), k=1))
-    for k in (0, 1.5, math.inf, math.nan, 10 ** 400):
+    # k is a number: the string "2" is not read as 2
+    for k in (0, 1.5, math.inf, math.nan, 10 ** 400, "2"):
         with pytest.raises(DomainError):
             LatticeBasis(t1=(1.0, 0.0, 0.0), t2=(0.0, 1.0, 0.0), k=k)
-    basis = LatticeBasis(t1=(1.0, 0.0, 0.0), t2=(0.0, 1.0, 0.0), k=3.0)
-    assert basis.k == 3 and type(basis.k) is int
+    # an integral float or a numpy scalar is read as that integer
+    for k in (3.0, np.int64(3), np.float64(3.0)):
+        basis = LatticeBasis(t1=(1.0, 0.0, 0.0), t2=(0.0, 1.0, 0.0), k=k)
+        assert basis.k == 3 and type(basis.k) is int
 
 
 def test_tiling_spot_checks():
@@ -283,7 +286,7 @@ def tiling_by_point_loop(lat, samples, seed, shell=3):
 
 def test_tiling_sample_count_domain():
     lat = lattice_from_params(OPT)
-    for samples in (0, 2.5):
+    for samples in (0, 2.5, 10 ** 400):
         with pytest.raises(DomainError):
             tiling_spot_check(lat, samples)
     assert tiling_spot_check(lat, 3.0) == tiling_spot_check(lat, 3)
@@ -293,7 +296,7 @@ def test_tiling_seed_domain():
     # the seed is a nonnegative integer, and an integral float is taken as
     # that integer, as the sample count is
     lat = lattice_from_params(UNIT)
-    for seed in (1.5, -1, -2.0, float("nan")):
+    for seed in (1.5, -1, -2.0, float("nan"), 10 ** 400):
         with pytest.raises(DomainError):
             tiling_spot_check(lat, 1, seed=seed)
     assert tiling_spot_check(lat, 50, 2.0) == tiling_spot_check(lat, 50, 2)
