@@ -54,6 +54,7 @@ def sphere_profile(R: float, theta: float) -> ProfilePoint:
 def sphere_point(R: float, theta: float, phi: float) -> Point:
     """A point of the geodesic sphere in model coordinates."""
     p = sphere_profile(R, theta)
+    phi = _finite_number(phi, "phi must be a finite number")
     return m_inverse((p.X * math.cos(phi), p.X * math.sin(phi), p.Z))
 
 

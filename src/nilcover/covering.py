@@ -23,9 +23,10 @@ import numpy as np
 from .ball import _check_radius, ball_volume
 from .core import Point, inverse, translate
 from .errors import (DegenerateGeometryError, DomainError, NilcoverError,
-                     NoSolutionError, _whole_number)
-from .geodesic import (PI, TWO_PI, _profile, _profile_array, _profile_fj,
-                       _reduced, _relative_target, distance_to_origin)
+                     NoSolutionError, _finite_number, _whole_number)
+from .geodesic import (PI, TWO_PI, _float_points, _profile, _profile_array,
+                       _profile_fj, _reduced, _relative_target,
+                       distance_to_origin)
 from .lattice import (DOMAIN_TETRAHEDRA, Lattice, LatticeBasis, _shell_words,
                       domain_tetrahedra, domain_volume, fundamental_domain,
                       lattice_from_params)
@@ -165,7 +166,7 @@ def circumball(p0: Point, p1: Point, p2: Point, p3: Point) -> CircumballResult:
     Raises DegenerateGeometryError when neither start gives one and the
     points are coplanar, and NoSolutionError when neither does otherwise.
     """
-    points = [tuple(float(x) for x in p) for p in (p0, p1, p2, p3)]
+    points = _float_points(p0, p1, p2, p3)
 
     best = None
     m = tuple(sum(p[i] for p in points) / 4.0 for i in range(3))
@@ -725,7 +726,7 @@ def lower_bound_density(rp: float) -> LowerBoundConfig:
     """
     from scipy.optimize import brentq
 
-    rp = float(rp)
+    rp = _finite_number(rp, "trial radius must lie in (0, pi/2]")
     if not 0.0 < rp <= 0.5 * PI + 1e-12:
         raise DomainError("trial radius must lie in (0, pi/2]")
 
@@ -766,7 +767,7 @@ def minimize_lower_bound() -> tuple[float, float]:
 def hex_family_lattice(t11: float) -> LatticeBasis:
     """Lattice with regular hexagonal projection whose generators lie on the
     equidistant surface; one free scale parameter."""
-    if t11 <= 0.0:
+    if _finite_number(t11, "scale parameter must be finite") <= 0.0:
         raise DomainError("scale parameter must be positive")
     s3 = math.sqrt(3.0)
     t1 = (t11, 0.0, s3 * t11 * t11 / 4.0)

@@ -288,31 +288,34 @@ def _invert_profile(rho, zeta):
     return th, s
 
 
+_PAST_FLOAT_RANGE = "a coordinate past the float range is out of reach"
+
+
+def _float_points(*points) -> list:
+    """The points with float coordinates.  A coordinate past the float
+    range raises NoSolutionError, as an infinite one does in the solvers."""
+    try:
+        return [tuple(float(x) for x in p) for p in points]
+    except OverflowError:
+        raise NoSolutionError(_PAST_FLOAT_RANGE) from None
+
+
 def distance_to_origin(p: Point) -> float:
     """Arc length of a minimizing geodesic from the origin to p.
 
-    Raises NoSolutionError when p lies farther than 2*pi from the origin.
+    Raises NoSolutionError when p lies farther than 2*pi from the origin,
+    as it does for a coordinate past the float range.
     """
-    return _invert_profile(*_reduced(p))[1]
+    try:
+        rho, zeta = _reduced(p)
+    except OverflowError:  # an int past the float range, as far as inf
+        raise NoSolutionError(_PAST_FLOAT_RANGE) from None
+    return _invert_profile(rho, zeta)[1]
 
 
 def distance(p1: Point, p2: Point) -> float:
     """Nil distance between two points; NoSolutionError beyond 2*pi."""
-    return distance_to_origin(_relative_target(p1, p2))
-
-
-def _params_from_root(theta, s, target: Point) -> GeodesicParams:
-    x, y, z = target
-    rho, zeta = _reduced(target)
-    th_signed = theta if zeta >= 0 else -theta
-    if rho < 1e-14:
-        alpha = 0.0
-    else:
-        u = math.sin(th_signed) * s
-        alpha = math.remainder(math.atan2(y, x) - 0.5 * u, TWO_PI)
-        if alpha >= PI:  # keep in [-pi, pi)
-            alpha -= TWO_PI
-    return GeodesicParams(alpha=alpha, theta=th_signed, s=s)
+    return distance_to_origin(_relative_target(*_float_points(p1, p2)))
 
 
 def geodesic_between(p1: Point, p2: Point) -> GeodesicSolveResult:
@@ -323,11 +326,18 @@ def geodesic_between(p1: Point, p2: Point) -> GeodesicSolveResult:
     2*pi the minimizing geodesic is unique; a p2 farther than 2*pi from p1
     raises NoSolutionError.
     """
-    target = _relative_target(p1, p2)
+    target = _relative_target(*_float_points(p1, p2))
     rho, zeta = _reduced(target)
     if rho < 1e-14 and abs(zeta) < 1e-14:
         return GeodesicSolveResult(GeodesicParams(0.0, 0.0, 0.0), 0.0)
     theta, s = _invert_profile(rho, zeta)
-    best = _params_from_root(theta, s, target)
+    theta = theta if zeta >= 0 else -theta
+    alpha = 0.0
+    if rho >= 1e-14:
+        alpha = math.remainder(math.atan2(target[1], target[0])
+                               - 0.5 * (math.sin(theta) * s), TWO_PI)
+        if alpha >= PI:  # keep in [-pi, pi)
+            alpha -= TWO_PI
+    best = GeodesicParams(alpha=alpha, theta=theta, s=s)
     residual = math.dist(geodesic_point(best), target)
     return GeodesicSolveResult(best, residual)

@@ -2,17 +2,14 @@
 
 A lattice is generated by two translations whose horizontal projections are
 independent; their commutator is a vertical translation, and taking its k-th
-root as a third generator closes the group.  The fundamental domain is a
-skew parallelepiped with vertical sides, cut into six tetrahedra.  For k = 1
-it tiles the space under the lattice action.  For k >= 2 it does not:
-fundamental_domain puts the vertex T21 = tau2 tau1 k steps of tau3 above T12
-instead of one, so the solid is too tall and its translates overlap
-(tiling_spot_check counts the overlapping samples).
+root as a third generator tau3 closes the group.  The fundamental domain is
+the parallelepiped {a*t1 + b*t2 + c*tau3 : a, b, c in [0, 1]} as vectors, a
+skew solid with vertical sides cut into six tetrahedra.  It tiles the space
+under the lattice action for every k (tiling_spot_check samples this).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -100,9 +97,9 @@ class FundamentalDomain:
     """The nine labeled vertices of the fundamental solid.
 
     O, T1, T2, T3 are the origin and the three generator images; the rest
-    are the composite words.  T213 closes the top face of the tiling solid;
-    the eight others span the parallelepiped used for point-membership
-    work.
+    are the composite words.  The eight other than T213 are the corners of
+    the parallelepiped that the six tetrahedra fill; T213 = T21 tau3 lies
+    one step of tau3 above the corner T21.
     """
 
     O: Point
@@ -123,15 +120,16 @@ class FundamentalDomain:
 def fundamental_domain(lattice: Lattice) -> FundamentalDomain:
     """The nine vertices of the lattice's fundamental solid.
 
-    T21 = tau2 tau1 is put at T12 + (0, 0, fibre), k steps of tau3 above
-    T12 instead of one: that is the k >= 2 domain defect of the module
-    docstring.  The tiling check takes its solid from here for every k
-    (_tiling_table), so a fix here reaches it too.
+    In lattice coordinates (u, v, h), with p = u*t1 + v*t2 + h*tau3 as
+    vectors, the eight vertices of the six tetrahedra are the corners of
+    the unit cube for every k, and T213 lies at (1, 1, 2).  T21 = T12 tau3
+    is one step of tau3 above T12; the label is that of k = 1, the only k
+    where it equals tau2 tau1 (tau2 tau1 = tau1 tau2 tau3^k).  The tiling
+    check takes its solid from here (_tiling_table).
     """
     t11, _, t13 = lattice.t1
     t21, t22, t23 = lattice.t2
-    v = t11 * t22
-    vk = v / lattice.k
+    vk = t11 * t22 / lattice.k
     return FundamentalDomain(
         O=(0.0, 0.0, 0.0),
         T1=(t11, 0.0, t13),
@@ -139,9 +137,9 @@ def fundamental_domain(lattice: Lattice) -> FundamentalDomain:
         T3=(0.0, 0.0, vk),
         T12=(t11 + t21, t22, t13 + t23),
         T13=(t11, 0.0, t13 + vk),
-        T21=(t11 + t21, t22, v + t13 + t23),
+        T21=(t11 + t21, t22, vk + t13 + t23),
         T23=(t21, t22, t23 + vk),
-        T213=(t11 + t21, t22, v + vk + t13 + t23),
+        T213=(t11 + t21, t22, 2.0 * vk + t13 + t23),
     )
 
 
@@ -248,36 +246,25 @@ def _lattice_coordinates(lattice: Lattice, x, y, z) -> tuple:
     return u, v, (z - u * t13 - v * t23) / tau
 
 
-@functools.lru_cache(maxsize=8)
-def _tiling_table(k: int) -> tuple:
-    """The tiling check's geometry for fibre divisor k: (bary, start, steps).
+def _tiling_table() -> np.ndarray:
+    """The barycentric maps of the tiling check's six tetrahedra.
 
-    The solid's vertices come from fundamental_domain of the reference
-    lattice t1 = (1, 0, 0), t2 = (0, k, 0), whose tau3 is (0, 0, 1): there
-    every coordinate is a small integer and every step of the map to
-    lattice coordinates is exact.  bary holds the four barycentric
-    coordinates of the six tetrahedra as one read-only (24, 4) map of the
-    homogeneous lattice coordinates (1, u, v, h); rows by coordinate, then
-    tetrahedron.  The candidate exponents along the i-th lattice
-    coordinate q are floor(q - start[i]) - steps[i], as in
-    tiling_spot_check.
+    In lattice coordinates the solid is the same for every lattice (see
+    fundamental_domain), so its tetrahedra are those of the unit lattice,
+    whose coordinates are the lattice coordinates themselves, small
+    integers.  The maps act on the homogeneous lattice coordinates
+    (1, u, v, h) as one read-only (24, 4) array; rows by barycentric
+    coordinate, then tetrahedron.
     """
-    ref = lattice_from_params(LatticeBasis((1.0, 0.0, 0.0), (0.0, k, 0.0), k))
-    verts = fundamental_domain(ref).as_dict()
-    tets = np.array([[_lattice_coordinates(ref, *verts[label])
-                      for label in tet] for tet in DOMAIN_TETRAHEDRA], float)
     homog = np.ones((6, 4, 4))
-    homog[..., 1:] = tets
+    homog[..., 1:] = domain_tetrahedra(lattice_from_params(
+        LatticeBasis((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))))
     bary = np.linalg.inv(homog).transpose(2, 0, 1).reshape(24, 4)
-    delta = 1e-6  # the margin of tiling_spot_check's docstring
-    lo = tets.min(axis=(0, 1))
-    span = tets.max(axis=(0, 1)) - lo
-    start = tuple((lo - delta * span).tolist())
-    steps = tuple(np.arange(math.floor(w * (1.0 + 2.0 * delta)) + 1.0)
-                  for w in span.tolist())
-    for a in (bary,) + steps:
-        a.setflags(write=False)
-    return bary, start, steps
+    bary.setflags(write=False)
+    return bary
+
+
+_TILING_BARY = _tiling_table()
 
 
 def tiling_spot_check(lattice: Lattice, samples: int = 1000,
@@ -306,41 +293,38 @@ def tiling_spot_check(lattice: Lattice, samples: int = 1000,
     tau3.  The local point has (u, v) = (U - a, V - b), where (U, V) is p's,
     and since tau3 is central, c lowers its height by exactly c.
 
-    In these coordinates the solid is the same for every lattice with the
-    same k.  So the barycentric maps of the six tetrahedra and the
-    exponent ranges below are built once per k, from the exact vertex
-    coordinates of a reference lattice (_tiling_table), and each call only
-    maps its samples to lattice coordinates, in closed form.
+    In these coordinates the solid is the same for every lattice: the unit
+    cube, cut into the six tetrahedra (see fundamental_domain).  So their
+    barycentric maps are built once, at import (_tiling_table), and each
+    call only maps its samples to lattice coordinates, in closed form.
 
     A point of a tetrahedron inflated by eps is an affine combination of
     its vertices with weights of at least -eps, at most three of them
-    negative, so each lattice coordinate stays within 3*eps*w of the
-    vertices' range [lo, lo + w] of that coordinate: [0, 1] for u and v,
-    [0, k] for h, which T21 reaches (see fundamental_domain).  So for a
+    negative, so each lattice coordinate stays within 3*eps of the
+    vertices' range [0, 1] of that coordinate, h included.  So for a
     margin delta >= 3*eps, the exponents
 
-        n = floor(q - lo + delta*w) - j,   j = 0, ..., floor(w + 2*delta*w)
+        n = floor(q + delta) - j,   j = 0, 1
 
     with q = U for a, q = V for b, and q = the local height of tau1^a tau2^b
     for c, include every word whose inflated translate contains p: two
-    values each of a and b, and k + 1 of c, where all but one a, one b and
-    k values of c only serve points within delta of a cell's face.
-    delta = 1e-6 leaves a thousand times eps for rounding.  Both counts are
-    therefore exact.
+    values each of a, b and c, where all but one of each only serve points
+    within delta of a cell's face.  delta = 1e-6 leaves a thousand times
+    eps for rounding.  Both counts are therefore exact.
     """
     samples = _whole_number(samples, 1, math.inf,
                             "sample count must be a positive integer")
     seed = _whole_number(seed, 0, math.inf,
                          "seed must be a nonnegative integer")
-    bary, start, steps = _tiling_table(lattice.k)
-    verts = fundamental_domain(lattice).as_dict()
-    # the tetrahedra's bounding box: T213, which they do not use, lies above
-    del verts["T213"]
-    corners = np.array(list(verts.values()))
+    # the margin -delta and the steps j of the docstring, alike for u, v, h
+    start, steps = -1e-6, np.array([0.0, 1.0])
+    # the tetrahedra's bounding box: T213, the last vertex, which they do not
+    # use, lies above
+    corners = np.array(list(vars(fundamental_domain(lattice)).values())[:8])
     lo, hi = corners.min(axis=0), corners.max(axis=0)
     rng = np.random.default_rng(seed)
 
-    chunk = max(1, _TILING_CHUNK // math.prod(map(len, steps)))
+    chunk = _TILING_CHUNK // 8  # eight candidate words per point
     eps = 1e-9
     bands = np.array([-eps, eps])[:, None, None]
     gaps = overlaps = 0
@@ -348,16 +332,16 @@ def tiling_spot_check(lattice: Lattice, samples: int = 1000,
         # drawn a chunk at a time: the same stream as one draw of them all
         pts = lo + (hi - lo) * rng.random((min(chunk, samples - first), 3))
         u, v, h = _lattice_coordinates(lattice, *pts.T[:, :, None, None])
-        a = np.floor(u - start[0]) - steps[0][:, None]
-        b = np.floor(v - start[1]) - steps[1]
+        a = np.floor(u - start) - steps[:, None]
+        b = np.floor(v - start) - steps
         u, v, h = _translated_coordinates(lattice, u, v, h, a, b)
-        h = h[..., None] - (np.floor(h - start[2])[..., None] - steps[2])
+        h = h[..., None] - (np.floor(h - start)[..., None] - steps)
         # axes (coordinate, point, a, b, c)
         local = np.ones((4,) + h.shape)
         local[1], local[2], local[3] = u[..., None], v[..., None], h
         # depth: the least barycentric coordinate in the tetrahedron where
         # it is largest, one per point and word
-        depth = (bary @ local.reshape(4, -1)).reshape(4, 6, -1).min(
+        depth = (_TILING_BARY @ local.reshape(4, -1)).reshape(4, 6, -1).min(
             axis=0).max(axis=0)
         loose, strict = (depth.reshape(len(h), -1) >= bands).sum(axis=2)
         gaps += int(np.count_nonzero(loose < 1))

@@ -135,15 +135,14 @@ def test_lattice_tiling_check(capsys):
 
 
 def test_lattice_tiling_check_k2(capsys):
-    # the seventh value is k; the k = 2 solid overlaps its translates but
-    # leaves no gaps
+    # the seventh value is k; the k = 2 solid tiles, as the k = 1 one does
     code, out, _ = run_cli(capsys, "lattice", "tiling-check", "--lattice",
                            "1.7,0,1.2325,0.8,1.45,1.8125,2", "--samples",
                            "120", "--json")
     assert code == 0
     data = json.loads(out)
-    assert data["gaps"] == 0 and data["overlaps"] > 0
-    assert data["ok"] is False
+    assert data["gaps"] == 0 and data["overlaps"] == 0
+    assert data["ok"] is True
 
 
 def test_lattice_file(tmp_path, capsys):

@@ -17,13 +17,14 @@ from nilcover import covering, geodesic
 from nilcover import (DegenerateGeometryError, DomainError, LatticeBasis,
                       NoSolutionError, ball_volume, bound_f, bound_f1,
                       bound_f2, circumball, compose, covering_density,
-                      covering_radius, distance, domain_tetrahedra,
-                      equidistant_projection, fundamental_domain,
+                      covering_radius, distance, distance_to_origin,
+                      domain_tetrahedra, equidistant_projection,
+                      fundamental_domain, geodesic_between,
                       hex_covering_radius, hex_density, hex_family_lattice,
                       inverse, lattice_from_params, lattice_points_in_shell,
                       lower_bound_density, m_map,
-                      minimize_lower_bound, optimize_hex, translate,
-                      verify_covering)
+                      minimize_lower_bound, optimize_hex, sphere_point,
+                      translate, verify_covering)
 
 UNIT = LatticeBasis(t1=(1.0, 0.0, 0.0), t2=(0.0, 1.0, 0.0), k=1)
 OPT = LatticeBasis(t1=(1.30633820, 0.0, 0.73894461),
@@ -513,6 +514,33 @@ def test_verify_covering_domain():
             verify_covering(lat, 0.9, n_samples)
 
 
+ORIGIN = (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda x: distance_to_origin((x, 0.0, 0.0)), NoSolutionError),
+    (lambda x: distance(ORIGIN, (0.0, 0.0, x)), NoSolutionError),
+    (lambda x: distance((x, 0.0, 0.0), ORIGIN), NoSolutionError),
+    (lambda x: geodesic_between(ORIGIN, (0.0, x, 0.0)), NoSolutionError),
+    (lambda x: circumball(ORIGIN, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                          (0.0, 0.0, x)), NoSolutionError),
+    (hex_family_lattice, DomainError),
+    (hex_density, DomainError),
+    (hex_covering_radius, DomainError),
+    (lower_bound_density, DomainError),
+    (lambda x: sphere_point(1.0, 0.1, x), DomainError),
+], ids=["distance_to_origin", "distance-p2", "distance-p1",
+        "geodesic_between", "circumball", "hex_family_lattice",
+        "hex_density", "hex_covering_radius", "lower_bound_density",
+        "sphere_point-phi"])
+def test_past_float_range_raises_as_inf(call, error):
+    # an int past the float range raises the error that inf gets in the
+    # same argument, not a bare OverflowError; a non-finite phi is no angle
+    for x in (math.inf, -math.inf, math.nan, 10 ** 400, -10 ** 400):
+        with pytest.raises(error):
+            call(x)
+
+
 def test_covering_density_report():
     rep = covering_density(lattice_from_params(OPT))
     assert abs(rep.covering_radius - 0.90293941) < 1e-6
@@ -618,7 +646,10 @@ def test_circumball_centroid_restart(monkeypatch):
         return res
 
     monkeypatch.setattr(covering, "circumball", counted)
-    for basis, R in ((_normal_form(1.6, 0.25, 0.875, 2), 1.31277238),
+    # large-1-k2's radius is still the largest of the six domain
+    # circumradii: the largest empty circumball of its Delaunay cells,
+    # found by a walk over them, has radius 1.06900293
+    for basis, R in ((_normal_form(1.6, 0.25, 0.875, 2), 1.14563123),
                      (_normal_form(1.8, 0.5, 0.75, 1), 1.30871930)):
         per_ball.clear()
         rep = covering_density(lattice_from_params(basis))
@@ -765,7 +796,7 @@ def test_circumball_at_most_two_newton_runs(monkeypatch):
         assert 1 <= len(newtons) <= 2
     none = (NoSolutionError, "no circumscribed ball of radius <= 2*pi found")
     assert outcomes == [pytest.approx(1.88874823, abs=1e-8), none, none, none,
-                        none, pytest.approx(1.75318991, abs=1e-8),
+                        none, pytest.approx(1.90466859, abs=1e-8),
                         (DegenerateGeometryError, "points are coplanar, so "
                          "there is no local-frame start, and the centroid "
                          "start found no root within its start radius"),

@@ -19,8 +19,7 @@ from nilcover import (DegenerateLatticeError, DomainError, LatticeBasis,
 UNIT = LatticeBasis(t1=(1.0, 0.0, 0.0), t2=(0.0, 1.0, 0.0), k=1)
 OPT = LatticeBasis(t1=(1.30633820, 0.0, 0.73894461),
                    t2=(0.65316910, 1.13132206, 1.10841692), k=1)
-# a normal-form k = 2 lattice: its domain does not tile, so spot checks find
-# overlaps
+# a normal-form k = 2 lattice: its solid tiles, as at k = 1
 K2 = LatticeBasis(t1=(1.7, 0.0, 1.2325), t2=(0.8, 1.45, 1.8125), k=2)
 
 
@@ -302,14 +301,26 @@ def test_tiling_seed_domain():
     assert tiling_spot_check(lat, 50, 2.0) == tiling_spot_check(lat, 50, 2)
 
 
+def leaky_solid(monkeypatch):
+    """Patch the solid, for the tiling check and domain_tetrahedra alike:
+    its third tetrahedron becomes a copy of the second, so each cell keeps
+    a gap of a sixth of its volume and the checks count non-zero gaps."""
+    tets = lattice.DOMAIN_TETRAHEDRA
+    monkeypatch.setattr(lattice, "DOMAIN_TETRAHEDRA",
+                        tets[:2] + tets[1:2] + tets[3:])
+    monkeypatch.setattr(lattice, "_TILING_BARY", lattice._tiling_table())
+
+
 def test_tiling_draws_one_chunk_at_a_time(monkeypatch):
     # samples are drawn a chunk at a time, so no draw is larger than one
-    # chunk, and the reports equal those of one draw of every sample
+    # chunk, and the reports equal those of one draw of every sample; the
+    # leaky solid makes them count gaps
+    leaky_solid(monkeypatch)
     for basis in (OPT, K2):
         lat = lattice_from_params(basis)
-        monkeypatch.setattr(lattice, "_TILING_CHUNK", 10 ** 9)
-        whole = [tiling_spot_check(lat, n, 7) for n in (1, 700, 2000)]
-        monkeypatch.undo()
+        with monkeypatch.context() as m:
+            m.setattr(lattice, "_TILING_CHUNK", 10 ** 9)
+            whole = [tiling_spot_check(lat, n, 7) for n in (1, 700, 2000)]
         draws = []
         default_rng = np.random.default_rng
 
@@ -321,24 +332,28 @@ def test_tiling_draws_one_chunk_at_a_time(monkeypatch):
                 draws.append(size[0])
                 return self.rng.random(size)
 
-        monkeypatch.setattr(np.random, "default_rng", Spy)
-        assert [tiling_spot_check(lat, n, 7) for n in (1, 700, 2000)] == whole
-        monkeypatch.undo()
-        # two candidate exponents each of a and b, and k + 1 of c
-        assert max(draws) == lattice._TILING_CHUNK // (4 * (lat.k + 1))
+        with monkeypatch.context() as m:
+            m.setattr(np.random, "default_rng", Spy)
+            assert [tiling_spot_check(lat, n, 7)
+                    for n in (1, 700, 2000)] == whole
+        # two candidate exponents each of a, b and c, for every k
+        assert max(draws) == lattice._TILING_CHUNK // 8
         assert sum(draws) == 2701
-    assert whole[2].overlaps > 0
+        assert whole[2].gaps > 0
 
 
-def test_tiling_matches_point_loop():
-    # shell 5 holds every translate these samples can lie in: shells 4 to 6
-    # agree, where shell 3 misses some of K2's and reports 2 false gaps
+def test_tiling_matches_point_loop(monkeypatch):
+    # shell 5 holds every translate these samples can lie in: shells 3 to 6
+    # agree
     for basis, seed in ((OPT, 3), (K2, 0)):
         lat = lattice_from_params(basis)
         rep = tiling_spot_check(lat, 25, seed)
         assert rep == tiling_by_point_loop(lat, 25, seed, shell=5)
-    # the k = 2 lattice makes the comparison cover non-zero counts
-    assert rep.overlaps > 0
+    # the leaky solid makes the comparison cover non-zero counts
+    leaky_solid(monkeypatch)
+    rep = tiling_spot_check(lat, 25, 0)
+    assert rep == tiling_by_point_loop(lat, 25, 0, shell=5)
+    assert rep.gaps > 0
 
 
 def normal_form(t11, a, b, k):
@@ -366,12 +381,12 @@ def test_tiling_normal_form_k1_matches_point_loop():
 
 
 def test_tiling_k2_k3_have_no_gaps():
-    # every point lies in some translate: with no shell cap, the k >= 2
-    # solids only overlap
+    # every point lies in exactly one translate: the solids tile for k >= 2
+    # as for k = 1
     for basis in (K2, normal_form(1.3, 0.2, 0.9, 3)):
         rep = tiling_spot_check(lattice_from_params(basis), samples=200,
                                 seed=0)
-        assert rep.gaps == 0 and rep.overlaps > 0
+        assert rep.gaps == 0 and rep.overlaps == 0
 
 
 def seeded_lattices():
@@ -405,39 +420,43 @@ def test_lattice_coordinates_match_inverse_basis():
 
 
 def test_tiling_table_matches_fundamental_domain():
-    # in lattice coordinates every lattice's solid is that of the reference
-    # lattice t1 = (1, 0, 0), t2 = (0, k, 0): each coordinate 0 or 1, except
-    # the heights k and k + 1 of T21 and T213 (the k >= 2 domain defect; a
-    # fix to fundamental_domain changes these two values with it).  The
-    # per-k table's barycentric maps take each tetrahedron's reference
-    # vertices to the unit vectors
+    # in lattice coordinates every lattice's solid is that of the unit
+    # lattice, whatever k is: the unit cube, with T213 at (1, 1, 2).  The
+    # unit lattice's own coordinates are exact.  The table's barycentric
+    # maps take each tetrahedron's vertices to the unit vectors
+    want = dict(O=(0, 0, 0), T1=(1, 0, 0), T2=(0, 1, 0), T3=(0, 0, 1),
+                T12=(1, 1, 0), T13=(1, 0, 1), T21=(1, 1, 1), T23=(0, 1, 1),
+                T213=(1, 1, 2))
+    unit = lattice_from_params(UNIT)
+    unit_dom = fundamental_domain(unit).as_dict()
+    assert unit_dom.keys() == want.keys()
+    for label, p in unit_dom.items():
+        assert lattice._lattice_coordinates(unit, *p) == want[label], label
     for lat in seeded_lattices():
-        k = lat.k
-        want = dict(O=(0, 0, 0), T1=(1, 0, 0), T2=(0, 1, 0), T3=(0, 0, 1),
-                    T12=(1, 1, 0), T13=(1, 0, 1), T21=(1, 1, k),
-                    T23=(0, 1, 1), T213=(1, 1, k + 1))
-        ref = lattice_from_params(
-            LatticeBasis((1.0, 0.0, 0.0), (0.0, k, 0.0), k))
-        ref_dom = fundamental_domain(ref).as_dict()
-        assert ref_dom.keys() == want.keys()
-        for label, p in ref_dom.items():
-            assert lattice._lattice_coordinates(ref, *p) == want[label], (
-                k, label)
         for label, p in fundamental_domain(lat).as_dict().items():
             got = lattice._lattice_coordinates(lat, *p)
             assert close(got, want[label], tol=1e-12), (lat.k, label)
-        bary = lattice._tiling_table(lat.k)[0]
-        for t, tet in enumerate(lattice.DOMAIN_TETRAHEDRA):
-            for j, label in enumerate(tet):
-                homog = np.array((1.0,) + want[label])
-                weights = (bary @ homog).reshape(4, 6)[:, t]
-                assert np.allclose(weights, np.eye(4)[j], rtol=0.0,
-                                   atol=1e-12), (lat.k, t, label)
+    for t, tet in enumerate(lattice.DOMAIN_TETRAHEDRA):
+        for j, label in enumerate(tet):
+            homog = np.array((1.0,) + want[label])
+            weights = (lattice._TILING_BARY @ homog).reshape(4, 6)[:, t]
+            assert np.allclose(weights, np.eye(4)[j], rtol=0.0,
+                               atol=1e-12), (t, label)
+
+
+def test_domain_is_one_tau3_high_for_every_k():
+    # T21 and T213 lie one and two steps of tau3 above T12 at every k, so
+    # the solid tiles: no spot check finds a gap or an overlap
+    for i, lat in enumerate(seeded_lattices()):
+        d = fundamental_domain(lat).as_dict()
+        assert close(compose(d["T12"], lat.tau3), d["T21"]), lat.k
+        assert close(compose(d["T21"], lat.tau3), d["T213"]), lat.k
+        assert tiling_spot_check(lat, 200, i).ok, lat.k
 
 
 def test_tiling_needs_no_linear_algebra_per_call(monkeypatch):
-    # the barycentric maps are built once per k: a warm call's repeat
-    # inverts no matrix
+    # the barycentric maps are built once, at import: a call inverts no
+    # matrix
     lat = lattice_from_params(normal_form(1.3, 0.2, 0.9, 3))
     warm = tiling_spot_check(lat, 50, 4)
 
