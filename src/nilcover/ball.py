@@ -45,6 +45,7 @@ class ProfilePoint:
 def sphere_profile(R: float, theta: float) -> ProfilePoint:
     """Profile of the sheared sphere: X is the axis distance, Z the height."""
     R = _check_radius(R)
+    theta = _finite_number(theta, "theta must lie in [-pi/2, pi/2]")
     if not -0.5 * PI - 1e-12 <= theta <= 0.5 * PI + 1e-12:
         raise DomainError("theta must lie in [-pi/2, pi/2]")
     X, Z = _profile(R, theta)

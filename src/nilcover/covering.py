@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._brent import _brentq, _fminbound
 from .ball import _check_radius, ball_volume
 from .core import Point, inverse, translate
 from .errors import (DegenerateGeometryError, DomainError, NilcoverError,
@@ -721,11 +722,10 @@ def lower_bound_density(rp: float) -> LowerBoundConfig:
 
     The constraint psi(theta) = chord - 2 area is strictly increasing in
     theta on [1e-6, pi/2 - 1e-12] (the tests check it on a grid of trial
-    radii), so it has one root there, found by one bracketed solve;
-    NoSolutionError when psi(1e-6) <= 0 <= psi(pi/2 - 1e-12) fails.
+    radii), so it has one root there, found by one Brent root bracket
+    (_brent._brentq); NoSolutionError when psi(1e-6) <= 0 <= psi(pi/2 -
+    1e-12) fails.
     """
-    from scipy.optimize import brentq
-
     rp = _finite_number(rp, "trial radius must lie in (0, pi/2]")
     if not 0.0 < rp <= 0.5 * PI + 1e-12:
         raise DomainError("trial radius must lie in (0, pi/2]")
@@ -737,7 +737,7 @@ def lower_bound_density(rp: float) -> LowerBoundConfig:
     a, b = 1e-6, 0.5 * PI - 1e-12
     if not psi(a) <= 0.0 <= psi(b):
         raise NoSolutionError("consistency constraint has no root at rp=%g" % rp)
-    theta = brentq(psi, a, b, xtol=1e-14)
+    theta = _brentq(psi, a, b, xtol=1e-14)
     chord, _, y0 = _lower_bound_terms(rp, theta)
     t1p = (math.sqrt(rp * rp - y0 * y0), y0, 0.0)
     t2p = (0.0, rp, 0.0)
@@ -748,17 +748,13 @@ def lower_bound_density(rp: float) -> LowerBoundConfig:
 
 def minimize_lower_bound() -> tuple[float, float]:
     """Trial radius minimizing the lower bound, and the bound itself."""
-    from scipy.optimize import minimize_scalar
-
     def objective(rp):
         try:
             return lower_bound_density(rp).density
         except (NoSolutionError, DomainError):
             return math.inf
 
-    res = minimize_scalar(objective, bounds=(0.05, 0.5 * PI),
-                          method="bounded", options={"xatol": 1e-10})
-    return float(res.x), float(res.fun)
+    return _fminbound(objective, 0.05, 0.5 * PI, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -798,14 +794,11 @@ def hex_density(t11: float) -> DensityReport:
 def optimize_hex() -> tuple[float, float, float]:
     """Scale minimizing the hexagonal-family density: (t11, radius, density).
 
-    The optimum is validated as an actual covering before returning.
+    One bounded Brent minimisation (_brent._fminbound) over t11 in
+    [0.8, 1.8]; the optimum is validated as an actual covering before
+    returning.
     """
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(lambda t: hex_density(t).density,
-                          bounds=(0.8, 1.8), method="bounded",
-                          options={"xatol": 1e-10})
-    t11 = float(res.x)
+    t11 = _fminbound(lambda t: hex_density(t).density, 0.8, 1.8, 1e-10)[0]
     report = hex_density(t11)
     lattice = lattice_from_params(report.lattice)
     if not verify_covering(lattice, report.covering_radius * (1.0 + 1e-6)):

@@ -40,12 +40,14 @@ ball's section (past a 1e-9 margin) has no root with s <= 2*pi.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._brent import _brentq
 from .core import Point, inverse, translate
-from .errors import NoSolutionError
+from .errors import DomainError, NoSolutionError
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -229,18 +231,17 @@ def _reduced(target: Point):
 def _bracket_profile(rho, zs):
     """The root (theta, s) for a target off the axis and the equator.
 
-    Nested brentq on the section rule of the module docstring: the inner
-    one finds the pitch theta_s(rho) on [0, pi/2], the outer one the s in
-    [rho, 2*pi] whose section height Z(s, theta_s(rho)) is zs.  The outer
-    one's first evaluation, at s = 2*pi, is the exact reach test.
+    Nested Brent root brackets (_brent._brentq) on the section rule of the
+    module docstring: the inner one finds the pitch theta_s(rho) on
+    [0, pi/2], the outer one the s in [rho, 2*pi] whose section height
+    Z(s, theta_s(rho)) is zs.  The outer one's first evaluation, at
+    s = 2*pi, is the exact reach test.
     """
-    from scipy.optimize import brentq
-
     def pitch(s):
         if rho >= s:  # the section at rho is at most the point zeta = 0
             return 0.0
-        return brentq(lambda t: _profile(s, t)[0] - rho, 0.0, 0.5 * PI,
-                      xtol=1e-15)
+        return _brentq(lambda t: _profile(s, t)[0] - rho, 0.0, 0.5 * PI,
+                       xtol=1e-15)
 
     def excess(s):
         return _profile(s, pitch(s))[1] - zs
@@ -249,7 +250,7 @@ def _bracket_profile(rho, zs):
     if top < -1e-9:
         raise NoSolutionError("(rho=%g, |zeta|=%g) lies outside the 2*pi ball"
                               % (rho, zs))
-    s = TWO_PI if top <= 0.0 else brentq(excess, rho, TWO_PI, xtol=1e-15)
+    s = TWO_PI if top <= 0.0 else _brentq(excess, rho, TWO_PI, xtol=1e-15)
     return pitch(s), s
 
 
@@ -289,27 +290,44 @@ def _invert_profile(rho, zeta):
 
 
 _PAST_FLOAT_RANGE = "a coordinate past the float range is out of reach"
+_NOT_A_NUMBER = "point coordinates must be real numbers"
+
+
+def _coordinate(x) -> float:
+    """float(x) for a real number (an int, a float or a numpy scalar, not a
+    str); DomainError for anything else, NoSolutionError for an int past
+    the float range."""
+    # float and int first: they pass without the ABC's slower check
+    if not isinstance(x, (float, int, numbers.Real)):
+        raise DomainError(_NOT_A_NUMBER)
+    try:
+        return float(x)
+    except OverflowError:
+        raise NoSolutionError(_PAST_FLOAT_RANGE) from None
 
 
 def _float_points(*points) -> list:
-    """The points with float coordinates.  A coordinate past the float
-    range raises NoSolutionError, as an infinite one does in the solvers."""
-    try:
-        return [tuple(float(x) for x in p) for p in points]
-    except OverflowError:
-        raise NoSolutionError(_PAST_FLOAT_RANGE) from None
+    """The points with float coordinates, as _coordinate reads them; a
+    float passes as it is.  An infinite coordinate is left to the solvers,
+    which raise NoSolutionError for it."""
+    return [(x if type(x) is float else _coordinate(x),
+             y if type(y) is float else _coordinate(y),
+             z if type(z) is float else _coordinate(z)) for x, y, z in points]
 
 
 def distance_to_origin(p: Point) -> float:
     """Arc length of a minimizing geodesic from the origin to p.
 
     Raises NoSolutionError when p lies farther than 2*pi from the origin,
-    as it does for a coordinate past the float range.
+    as it does for a coordinate past the float range, and DomainError for
+    a coordinate that is no number, such as a str.
     """
     try:
         rho, zeta = _reduced(p)
     except OverflowError:  # an int past the float range, as far as inf
         raise NoSolutionError(_PAST_FLOAT_RANGE) from None
+    except TypeError:
+        raise DomainError(_NOT_A_NUMBER) from None
     return _invert_profile(rho, zeta)[1]
 
 

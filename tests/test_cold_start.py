@@ -1,6 +1,7 @@
 """Importing nilcover loads no scipy module, nor do distances, circumballs,
-volumes, densities and the sampling and tiling checks; the functions that
-need scipy import it when they run."""
+volumes, densities, the sampling and tiling checks, the bracketed profile
+solve and the optimisers of the hexagonal family and the lower bound; only
+hull_gap needs scipy, and it imports it when it runs."""
 
 import json
 import math
@@ -12,7 +13,9 @@ from pathlib import Path
 import nilcover
 from nilcover import geodesic
 from nilcover import (LatticeBasis, ball_volume, covering_density,
-                      hex_density, lattice_from_params, minimize_lower_bound)
+                      hex_density, hull_gap, lattice_from_params,
+                      lower_bound_density, minimize_lower_bound, optimize_hex,
+                      sphere_mesh)
 
 SRC = Path(nilcover.__file__).resolve().parents[1]
 OPT = lattice_from_params(LatticeBasis(
@@ -40,14 +43,23 @@ assert nc.tiling_spot_check(opt, samples=50, seed=3).ok
 volume = nc.ball_volume(math.pi / 2)
 density = nc.covering_density(opt).density
 hex_density = nc.hex_density(1.26).density
+hex_optimum = nc.optimize_hex()
+lower_bound = nc.minimize_lower_bound()
+bound_config = nc.lower_bound_density(0.9)
+bracket = geodesic._bracket_profile(1.3, 2.1)
 loaded["no-scipy calls"] = scipy_modules()
+gap = nc.hull_gap(nc.sphere_mesh(2.0, 8, 12))
+loaded["hull_gap"] = "scipy.spatial" in sys.modules
 print(json.dumps({
     "loaded": loaded,
     "ball_volume": repr(volume),
     "density": repr(density),
     "hex_density": repr(hex_density),
-    "lower_bound": repr(nc.minimize_lower_bound()),
-    "bracket": repr(geodesic._bracket_profile(1.3, 2.1)),
+    "hex_optimum": repr(hex_optimum),
+    "lower_bound": repr(lower_bound),
+    "bound_config": repr(bound_config),
+    "bracket": repr(bracket),
+    "hull_gap": repr(gap),
 }))
 """
 
@@ -60,12 +72,16 @@ def test_import_and_scipy_free_calls_load_no_scipy():
                          capture_output=True, text=True, check=True,
                          timeout=120)
     got = json.loads(out.stdout)
-    assert got["loaded"] == {"import": [], "no-scipy calls": []}
+    assert got["loaded"] == {"import": [], "no-scipy calls": [],
+                             "hull_gap": True}
     # the scipy-free calls give the values they give in a process that has
-    # scipy loaded already, and so do the calls that need scipy
+    # scipy loaded already, and so does hull_gap
     assert float(got["ball_volume"]) == ball_volume(math.pi / 2)
     assert abs(float(got["ball_volume"]) - 16.8947493237242) < 1e-9
     assert float(got["density"]) == covering_density(OPT).density
     assert float(got["hex_density"]) == hex_density(1.26).density
+    assert got["hex_optimum"] == repr(optimize_hex())
     assert got["lower_bound"] == repr(minimize_lower_bound())
+    assert got["bound_config"] == repr(lower_bound_density(0.9))
     assert got["bracket"] == repr(geodesic._bracket_profile(1.3, 2.1))
+    assert float(got["hull_gap"]) == hull_gap(sphere_mesh(2.0, 8, 12))

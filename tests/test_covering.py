@@ -24,7 +24,7 @@ from nilcover import (DegenerateGeometryError, DomainError, LatticeBasis,
                       inverse, lattice_from_params, lattice_points_in_shell,
                       lower_bound_density, m_map,
                       minimize_lower_bound, optimize_hex, sphere_point,
-                      translate, verify_covering)
+                      sphere_profile, translate, verify_covering)
 
 UNIT = LatticeBasis(t1=(1.0, 0.0, 0.0), t2=(0.0, 1.0, 0.0), k=1)
 OPT = LatticeBasis(t1=(1.30633820, 0.0, 0.73894461),
@@ -529,16 +529,46 @@ ORIGIN = (0.0, 0.0, 0.0)
     (hex_covering_radius, DomainError),
     (lower_bound_density, DomainError),
     (lambda x: sphere_point(1.0, 0.1, x), DomainError),
+    (lambda x: sphere_profile(1.0, x), DomainError),
+    (lambda x: sphere_point(1.0, x, 0.0), DomainError),
 ], ids=["distance_to_origin", "distance-p2", "distance-p1",
         "geodesic_between", "circumball", "hex_family_lattice",
         "hex_density", "hex_covering_radius", "lower_bound_density",
-        "sphere_point-phi"])
+        "sphere_point-phi", "sphere_profile-theta", "sphere_point-theta"])
 def test_past_float_range_raises_as_inf(call, error):
     # an int past the float range raises the error that inf gets in the
-    # same argument, not a bare OverflowError; a non-finite phi is no angle
+    # same argument, not a bare OverflowError; a non-finite phi or theta
+    # is no angle.  A str is no number: DomainError wherever it stands,
+    # also where a number would be read from it
     for x in (math.inf, -math.inf, math.nan, 10 ** 400, -10 ** 400):
         with pytest.raises(error):
             call(x)
+    for x in ("0.1", "a"):
+        with pytest.raises(DomainError):
+            call(x)
+
+
+def test_points_take_real_numbers_only():
+    # ints and numpy scalars are read as the floats they equal; a str
+    # coordinate is not parsed, wherever it stands
+    p = (0.3, -0.2, 0.45)
+    d = distance(ORIGIN, p)
+    assert distance((0, 0, 0), [np.float64(x) for x in p]) == d
+    assert distance_to_origin(np.array(p)) == d
+    assert distance(ORIGIN, (1, 0, 0)) == 1.0
+    tet = [ORIGIN, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+    ball = circumball(*tet)
+    assert circumball((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)) == ball
+    for i in range(4):
+        for j in range(3):
+            q = [list(v) for v in tet]
+            q[i][j] = str(q[i][j])
+            for call in (lambda: circumball(*q), lambda: distance(q[i], p),
+                         lambda: distance(p, q[i]),
+                         lambda: distance_to_origin(q[i]),
+                         lambda: geodesic_between(q[i], p)):
+                with pytest.raises(DomainError):
+                    call()
 
 
 def test_covering_density_report():

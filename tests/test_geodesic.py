@@ -4,7 +4,6 @@ import math
 import random
 
 import pytest
-import scipy.optimize
 from scipy.optimize import brentq
 
 from nilcover import geodesic
@@ -187,9 +186,8 @@ def test_reach_test_rejects_before_sweeping(monkeypatch):
     # lattice passes the cheap bounds (rho <= 2*pi, |zeta| <= 5*pi/2), but
     # its only root has s = 6.48 > 2*pi; the 2*pi ball reaches only
     # |zeta| = 3.54 at this rho, so the fallback rejects it after the
-    # pitch solve at s = 2*pi, before its outer solve starts.  The
-    # fallback imports brentq when it runs, so the patched one is counted
-    solves = _count_calls(monkeypatch, "brentq", module=scipy.optimize)
+    # pitch solve at s = 2*pi, before its outer solve starts
+    solves = _count_calls(monkeypatch, "_brentq", module=geodesic)
     for zeta in (4.789, -4.789):
         solves.clear()
         with pytest.raises(NoSolutionError):
