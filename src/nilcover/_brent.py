@@ -11,6 +11,10 @@ import math
 import sys
 
 _EPS = sys.float_info.epsilon
+# scipy's defaults: brentq's maxiter and the bounded minimiser's maxiter,
+# which counts evaluations
+_MAXITER = 100
+_MAXFUN = 500
 
 
 def _checked(f, x):
@@ -21,14 +25,14 @@ def _checked(f, x):
     return fx
 
 
-def _brentq(f, a, b, xtol, rtol=4 * _EPS, maxiter=100):
+def _brentq(f, a, b, xtol):
     """A root of f in [a, b], where f(a) and f(b) differ in sign, to within
-    xtol + rtol*|root|.
+    xtol + 4*eps*|root| (scipy's default rtol).
 
     A port of scipy's Zeros/brentq.c: each step takes inverse quadratic
     interpolation (the secant when only two points are known) when it is
     short enough, and bisection otherwise.  ValueError for f(a) and f(b) of
-    one sign or a NaN value of f, RuntimeError after maxiter steps.
+    one sign or a NaN value of f, RuntimeError after _MAXITER steps.
     """
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
@@ -40,7 +44,7 @@ def _brentq(f, a, b, xtol, rtol=4 * _EPS, maxiter=100):
         return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         if (fpre != 0.0 and fcur != 0.0
                 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
             xblk, fblk = xpre, fpre
@@ -49,7 +53,7 @@ def _brentq(f, a, b, xtol, rtol=4 * _EPS, maxiter=100):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + 4 * _EPS * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -83,19 +87,20 @@ def _brentq(f, a, b, xtol, rtol=4 * _EPS, maxiter=100):
             xcur += delta if sbis > 0 else -delta
         fcur = _checked(f, xcur)
     raise RuntimeError("failed to converge after %d iterations, value is %r"
-                       % (maxiter, xcur))
+                       % (_MAXITER, xcur))
 
 
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_XATOL = 1e-10  # the tolerance in x of both minimisations of the library
 
 
-def _fminbound(f, lo, hi, xatol, maxfun=500):
-    """(x, f(x)) at a local minimum of f on [lo, hi], to within xatol in x.
+def _fminbound(f, lo, hi):
+    """(x, f(x)) at a local minimum of f on [lo, hi], to within _XATOL in x.
 
     A port of scipy's _minimize_scalar_bounded (Brent's method: parabolic
     steps where the fit is acceptable, golden-section steps elsewhere); it
-    stops after maxfun evaluations.  f may return inf on part of the
+    stops after _MAXFUN evaluations.  f may return inf on part of the
     interval: a parabola through an inf value is never accepted.
     """
     a, b = lo, hi
@@ -106,7 +111,7 @@ def _fminbound(f, lo, hi, xatol, maxfun=500):
     num = 1
     ffulc = fnfc = fx
     xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
     tol2 = 2.0 * tol1
 
     while abs(xf - xm) > tol2 - 0.5 * (b - a):
@@ -155,9 +160,9 @@ def _fminbound(f, lo, hi, xatol, maxfun=500):
                 fulc, ffulc = x, fu
 
         xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
         tol2 = 2.0 * tol1
 
-        if num >= maxfun:
+        if num >= _MAXFUN:
             break
     return xf, fx

@@ -754,7 +754,7 @@ def minimize_lower_bound() -> tuple[float, float]:
         except (NoSolutionError, DomainError):
             return math.inf
 
-    return _fminbound(objective, 0.05, 0.5 * PI, 1e-10)
+    return _fminbound(objective, 0.05, 0.5 * PI)
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +798,7 @@ def optimize_hex() -> tuple[float, float, float]:
     [0.8, 1.8]; the optimum is validated as an actual covering before
     returning.
     """
-    t11 = _fminbound(lambda t: hex_density(t).density, 0.8, 1.8, 1e-10)[0]
+    t11 = _fminbound(lambda t: hex_density(t).density, 0.8, 1.8)[0]
     report = hex_density(t11)
     lattice = lattice_from_params(report.lattice)
     if not verify_covering(lattice, report.covering_radius * (1.0 + 1e-6)):

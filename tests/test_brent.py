@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
-from nilcover import covering, geodesic, geodesic_xyz
+from nilcover import _brent, covering, geodesic, geodesic_xyz
 from nilcover._brent import _brentq, _fminbound
 
 # smooth functions with their brackets' sampling ranges: f(x) - c changes
@@ -33,12 +33,12 @@ def _traced(f):
     return g, calls
 
 
-def _scipy_fminbound(f, lo, hi, xatol):
-    # numpy scalars warn where an inf objective makes inf - inf; the port's
-    # Python floats give the same nan silently
+def _scipy_fminbound(f, lo, hi):
+    # at the port's tolerance; numpy scalars warn where an inf objective
+    # makes inf - inf, where the port's Python floats give nan silently
     with np.errstate(invalid="ignore"):
         res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                              options={"xatol": xatol})
+                              options={"xatol": _brent._XATOL})
     return float(res.x), float(res.fun)
 
 
@@ -62,19 +62,20 @@ def test_brentq_matches_scipy_bit_for_bit():
                 assert ours_calls == ref_calls
 
 
-def test_brentq_errors_match_scipy():
+def test_brentq_errors_match_scipy(monkeypatch):
     cases = [
-        (lambda x: x * x + 1.0, -1.0, 2.0, {}),  # one sign at both ends
-        (lambda x: 1e-170, 0.0, 1.0, {}),  # their product underflows
-        (lambda x: math.nan, 0.0, 1.0, {}),  # NaN at an end
-        (lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, 0.0, 1.0, {}),
-        (lambda x: math.sin(x) - 0.3, 0.0, 1.5, {"maxiter": 2}),
+        (lambda x: x * x + 1.0, -1.0, 2.0, 100),  # one sign at both ends
+        (lambda x: 1e-170, 0.0, 1.0, 100),  # their product underflows
+        (lambda x: math.nan, 0.0, 1.0, 100),  # NaN at an end
+        (lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, 0.0, 1.0, 100),
+        (lambda x: math.sin(x) - 0.3, 0.0, 1.5, 2),  # too few iterations
     ]
-    for f, a, b, kwargs in cases:
+    for f, a, b, maxiter in cases:
+        monkeypatch.setattr(_brent, "_MAXITER", maxiter)
         with pytest.raises(Exception) as ref:
-            brentq(f, a, b, xtol=1e-15, **kwargs)
+            brentq(f, a, b, xtol=1e-15, maxiter=maxiter)
         with pytest.raises(Exception) as ours:
-            _brentq(f, a, b, xtol=1e-15, **kwargs)
+            _brentq(f, a, b, xtol=1e-15)
         assert ours.type is ref.type
         assert ours.type in (ValueError, RuntimeError)
 
@@ -101,10 +102,11 @@ def test_brentq_zero_divisor_bisects():
         assert ours_calls == ref_calls
 
 
-def test_fminbound_matches_scipy():
+def test_fminbound_matches_scipy(monkeypatch):
     # x and f as minimize_scalar(method="bounded") gives them, from the
     # same evaluation points, on smooth objectives and on objectives that
-    # are inf on part of the interval, as minimize_lower_bound's is
+    # are inf on part of the interval, as minimize_lower_bound's is; at the
+    # library's tolerance and a coarser one
     rng = random.Random(2011)
     objectives = [
         lambda x, c: (x - c) ** 2,
@@ -120,23 +122,24 @@ def test_fminbound_matches_scipy():
             hi = lo + rng.uniform(0.5, 3.0)
             c = rng.uniform(lo, hi)
             for xatol in (1e-10, 1e-5):
+                monkeypatch.setattr(_brent, "_XATOL", xatol)
                 ours, ours_calls = _traced(lambda x: objective(x, c))
                 ref, ref_calls = _traced(lambda x: objective(x, c))
-                x, fx = _fminbound(ours, lo, hi, xatol)
-                assert (x, fx) == _scipy_fminbound(ref, lo, hi, xatol)
+                x, fx = _fminbound(ours, lo, hi)
+                assert (x, fx) == _scipy_fminbound(ref, lo, hi)
                 assert ours_calls == ref_calls
 
 
-def test_fminbound_stops_at_maxfun():
+def test_fminbound_stops_at_maxfun(monkeypatch):
+    monkeypatch.setattr(_brent, "_MAXFUN", 7)
     f, calls = _traced(lambda x: math.sin(40.0 * x) + x * x)
-    _fminbound(f, -3.0, 3.0, 1e-12, maxfun=7)
+    got = _fminbound(f, -3.0, 3.0)
     assert len(calls) == 7
     res = minimize_scalar(lambda x: math.sin(40.0 * x) + x * x,
                           bounds=(-3.0, 3.0), method="bounded",
-                          options={"xatol": 1e-12, "maxiter": 7})
+                          options={"xatol": _brent._XATOL, "maxiter": 7})
     assert res.nfev == 7
-    assert _fminbound(lambda x: math.sin(40.0 * x) + x * x, -3.0, 3.0,
-                      1e-12, maxfun=7) == (float(res.x), float(res.fun))
+    assert got == (float(res.x), float(res.fun))
 
 
 def test_library_results_match_scipy_driven(monkeypatch):

@@ -1,7 +1,8 @@
 """Importing nilcover loads no scipy module, nor do distances, circumballs,
 volumes, densities, the sampling and tiling checks, the bracketed profile
-solve and the optimisers of the hexagonal family and the lower bound; only
-hull_gap needs scipy, and it imports it when it runs."""
+solve and the optimisers of the hexagonal family and the lower bound, which
+neither import scipy nor try to, as if it were not installed; only hull_gap needs scipy, and it imports
+it when it runs."""
 
 import json
 import math
@@ -30,7 +31,16 @@ from nilcover import geodesic
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
+class NoScipy(list):
+    # as if scipy were not installed, noting each attempt to import it
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            self.append(name)
+            raise ModuleNotFoundError(name)
+
 loaded = {"import": scipy_modules()}
+blocked = NoScipy()
+sys.meta_path.insert(0, blocked)
 opt = nc.lattice_from_params(nc.LatticeBasis(
     t1=(1.30633820, 0.0, 0.73894461),
     t2=(0.65316910, 1.13132206, 1.10841692), k=1))
@@ -47,7 +57,8 @@ hex_optimum = nc.optimize_hex()
 lower_bound = nc.minimize_lower_bound()
 bound_config = nc.lower_bound_density(0.9)
 bracket = geodesic._bracket_profile(1.3, 2.1)
-loaded["no-scipy calls"] = scipy_modules()
+sys.meta_path.remove(blocked)
+loaded["no-scipy calls"] = scipy_modules() + blocked
 gap = nc.hull_gap(nc.sphere_mesh(2.0, 8, 12))
 loaded["hull_gap"] = "scipy.spatial" in sys.modules
 print(json.dumps({
