@@ -24,7 +24,7 @@ import numpy as np
 from .constants import BALL_CONVEXITY_MAX_RADIUS, M_IMAGE_CONVEXITY_MAX_RADIUS
 from .core import Point, m_inverse
 from .errors import DomainError, _finite_number, _whole_number
-from .geodesic import PI, TWO_PI, _profile, _profile_fj
+from .geodesic import PI, TWO_PI, _profile
 
 
 def _check_radius(R: float, allow_zero=False) -> float:
@@ -94,6 +94,9 @@ def _gauss_legendre(n: int):
 _VOLUME_NODES = 17
 _VOLUME_RULE = tuple((0.25 * PI * (x + 1.0), 0.25 * PI * w)
                      for x, w in zip(*_gauss_legendre(_VOLUME_NODES)))
+# the rule as (sin, cos, weight) of each pitch, so ball_volume takes no
+# trigonometric function of theta
+_VOLUME_TABLE = tuple((math.sin(t), math.cos(t), w) for t, w in _VOLUME_RULE)
 
 
 def ball_volume(R: float) -> float:
@@ -102,13 +105,30 @@ def ball_volume(R: float) -> float:
     The model volume element is the Euclidean one, so this is the body of
     revolution of the sheared profile: 2 pi times the integral of
     X^2 dZ/dtheta over theta in [0, pi/2], summed with _VOLUME_RULE (every
-    X is 0 at R = 0, so the sum is 0.0 there).
+    X is 0 at R = 0, so the sum is 0.0 there).  The loop computes X and
+    dZ/dtheta alone, with geodesic._profile_fj's expressions and series
+    switches for sinc(v) and q(u), so the sum is bit for bit the one of
+    _profile_fj's values; u = R sin(theta) >= 0 here, so no abs is taken.
     """
     R = _check_radius(R, allow_zero=True)
+    R3 = R ** 3
     total = 0.0
-    for theta, weight in _VOLUME_RULE:
-        X, _, _, _, dZdt, _ = _profile_fj(R, theta)
-        total += weight * X * X * dZdt
+    for w, c, weight in _VOLUME_TABLE:
+        u = w * R
+        v = 0.5 * u
+        if v < 1e-6:
+            v2 = v * v
+            sinc = 1.0 - v2 / 6.0 + v2 * v2 / 120.0
+        else:
+            sinc = math.sin(v) / v
+        cos_u = math.cos(u)
+        if u < 0.1:
+            u2 = u * u
+            q = 1.0 / 12 - u2 / 80 + u2 * u2 / 2016 - u2 * u2 * u2 / 103680
+        else:
+            q = (2.0 * math.sin(u) - u * (1.0 + cos_u)) / (2.0 * u ** 3)
+        X = c * R * sinc
+        total += weight * X * X * (c * R3 * q + 0.5 * c * R * (1.0 + cos_u))
     return TWO_PI * total
 
 

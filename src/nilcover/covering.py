@@ -26,8 +26,7 @@ from .core import Point, inverse, translate
 from .errors import (DegenerateGeometryError, DomainError, NilcoverError,
                      NoSolutionError, _finite_number, _whole_number)
 from .geodesic import (PI, TWO_PI, _float_points, _profile, _profile_array,
-                       _profile_fj, _reduced, _relative_target,
-                       distance_to_origin)
+                       _profile_fj, distance_to_origin)
 from .lattice import (DOMAIN_TETRAHEDRA, Lattice, LatticeBasis, _shell_words,
                       domain_tetrahedra, domain_volume, fundamental_domain,
                       lattice_from_params)
@@ -36,6 +35,7 @@ log = logging.getLogger(__name__)
 
 _RESIDUAL_TOL = 1e-8
 _STEPS = tuple(0.5 ** k for k in range(27))  # line-search steps, to 1.5e-8
+_HALF_PI = 0.5 * PI
 
 
 @dataclass(frozen=True)
@@ -46,26 +46,28 @@ class CircumballResult:
 
 
 def _solve3(A, y):
-    """(det, x) for a 3x3 A given as lists of floats: its determinant, and
-    x with A x = y by Cramer's rule, or None when det is exactly 0, where
-    np.linalg.solve raises LinAlgError."""
-    (a, b, c), (d, e, f), (g, h, i) = A
+    """(det, x) for a 3x3 A given as its 9 floats row by row: its
+    determinant, and x with A x = y by Cramer's rule, or None when det is
+    exactly 0, where np.linalg.solve raises LinAlgError."""
+    a, b, c, d, e, f, g, h, i = A
+    y0, y1, y2 = y
     p, q, r = e * i - f * h, f * g - d * i, d * h - e * g
     det = a * p + b * q + c * r
     if det == 0.0:
         return det, None
-    u, v, w = y[0] / det, y[1] / det, y[2] / det
-    return det, [u * p + v * (c * h - b * i) + w * (b * f - c * e),
+    u, v, w = y0 / det, y1 / det, y2 / det
+    return det, (u * p + v * (c * h - b * i) + w * (b * f - c * e),
                  u * q + v * (a * i - c * g) + w * (c * d - a * f),
-                 u * r + v * (b * g - a * h) + w * (a * e - b * d)]
+                 u * r + v * (b * g - a * h) + w * (a * e - b * d))
 
 
 def _circumball_system(points, v):
-    """_newton_circumball's step system at v = (c, R, pitches): rows[i]
-    (dc, dR) = -r[i], d theta_i = pitch[i] . (dc, 1), and nrm, the norm of
-    all f_i, as (rows, r, pitch, nrm); None when a block is singular."""
+    """_newton_circumball's step system at v = (c, R, pitches), as flat
+    lists (g, r, pitch, nrm): point i's row [g_i, -1] (dc, dR) = -r[i] has
+    g_i = g[3i:3i + 3], and d theta_i = pitch[4i:4i + 4] . (dc, 1); nrm is
+    the norm of all f_i.  None when a block is singular."""
     cx, cy, cz, R = v[:4]
-    rows, r, pitch, sq = [], [], [], 0.0
+    g, r, pitch, sq = [], [], [], 0.0
     for (px, py, pz), t in zip(points, v[4:]):
         # c^-1 p written out: helper calls would cost more than the kernel
         qx, qy = px - cx, py - cy
@@ -80,22 +82,25 @@ def _circumball_system(points, v):
         # the c-gradients of rho, (ax, ay, 0), and of zeta, (bx, by, -1)
         ax, ay = (0.0, 0.0) if rho < 1e-12 else (-qx / rho, -qy / rho)
         bx, by = 0.5 * (cy - py), 0.5 * (cx + px)
-        rows.append([xt * bx - zt * ax, xt * by - zt * ay, -xt, -1.0])
+        g += xt * bx - zt * ax, xt * by - zt * ay, -xt
         r.append(f1 * zt - f2 * xt)
-        pitch.append((ax * zr - bx * xr, ay * zr - by * xr, xr,
-                      f2 * xr - f1 * zr))
+        pitch += ax * zr - bx * xr, ay * zr - by * xr, xr, f2 * xr - f1 * zr
         sq += f1 * f1 + f2 * f2
-    return rows, r, pitch, math.sqrt(sq)
+    return g, r, pitch, math.sqrt(sq)
 
 
-def _eliminated_step(rows, r):
-    """(dc, dR) with rows (dc, dR) = -r for _circumball_system's rows
-    [g_i, -1]: row i minus row 0 leaves (g_i - g_0) dc = r_0 - r_i, and
+def _eliminated_step(g, r):
+    """(dc, dR) with [g_i, -1] (dc, dR) = -r_i for _circumball_system's g
+    and r: row i minus row 0 leaves (g_i - g_0) dc = r_0 - r_i, and
     dR = g_0 dc + r_0.  None when that 3x3 system is exactly singular."""
-    (g0, g1, g2, _), r0 = rows[0], r[0]
-    _, dc = _solve3([[x - g0, y - g1, z - g2] for x, y, z, _ in rows[1:]],
-                    [r0 - x for x in r[1:]])
-    return dc and [*dc, g0 * dc[0] + g1 * dc[1] + g2 * dc[2] + r0]
+    g0, g1, g2, a, b, c, d, e, f, h, i, j = g
+    r0, r1, r2, r3 = r
+    _, dc = _solve3((a - g0, b - g1, c - g2, d - g0, e - g1, f - g2,
+                     h - g0, i - g1, j - g2), (r0 - r1, r0 - r2, r0 - r3))
+    if dc is None:
+        return None
+    x, y, z = dc
+    return x, y, z, g0 * x + g1 * y + g2 * z + r0
 
 
 def _newton_circumball(points, v0):
@@ -109,31 +114,44 @@ def _newton_circumball(points, v0):
     g_i = (-dZ/dtheta grad rho_i + dX/dtheta grad zeta_i) / det_i and
     r_i = (f_i1 dZ/dtheta - f_i2 dX/dtheta) / det_i, the distance minus R
     to first order; _eliminated_step solves these rows as a 3x3 system in
-    dc.  It runs on Python floats: numpy costs more than that solve.  The
-    line search keeps R in [1e-6, 2*pi] and |theta_i| <= pi/2; every
-    profile root with R <= 2*pi is minimizing (the geodesic module's
-    section rule), so at a root all four distances are R.  Returns
-    ((c, R), r) when hypot(r) and the norm of all f_i are below
-    _RESIDUAL_TOL; None otherwise.
+    dc.  An evaluation (_circumball_system) is one profile-kernel call per
+    point, and everything runs on Python floats in flat lists: numpy, and
+    nested lists, cost more than the arithmetic.  The line search keeps R
+    in [1e-6, 2*pi] and |theta_i| <= pi/2; every profile root with
+    R <= 2*pi is minimizing (the geodesic module's section rule), so at a
+    root all four distances are R.  Returns ((c, R), r) when hypot(r) and
+    the norm of all f_i are below _RESIDUAL_TOL; None otherwise.
     """
-    v = [float(x) for x in v0]
-    v += [math.atan2(zeta, rho) for rho, zeta in
-          (_reduced(_relative_target(v[:3], q)) for q in points)]
+    cx, cy, cz, R = v0
+    # c^-1 q and its (rho, zeta), as _relative_target and _reduced give them
+    w = cx * cy - cz
+    v = [cx, cy, cz, R]
+    for x, y, z in points:
+        qx, qy = x - cx, y - cy
+        v.append(math.atan2(z - y * cx + w - 0.5 * qx * qy,
+                            math.hypot(qx, qy)))
     system = _circumball_system(points, v)
     if system is None:
         return None
     for _ in range(80):
-        rows, r, pitch, nrm = system
+        g, r, pitch, nrm = system
         if nrm < 1e-13:
             break
-        dv = _eliminated_step(rows, r)
+        dv = _eliminated_step(g, r)
         if dv is None:
             return None
-        dv += [a * dv[0] + b * dv[1] + c * dv[2] + e for a, b, c, e in pitch]
+        dx, dy, dz, dR = dv
+        four = iter(pitch)  # zip(four, four, four, four) reads it 4 by 4
+        dts = [a * dx + b * dy + c * dz + e
+               for a, b, c, e in zip(four, four, four, four)]
         for step in _STEPS:
-            x, y, z, R, *ts = [a + step * d for a, d in zip(v, dv)]
-            vn = [x, y, z, min(max(R, 1e-6), TWO_PI),
-                  *[min(max(t, -0.5 * PI), 0.5 * PI) for t in ts]]
+            R = v[3] + step * dR
+            vn = [v[0] + step * dx, v[1] + step * dy, v[2] + step * dz,
+                  TWO_PI if TWO_PI < R else 1e-6 if R < 1e-6 else R]
+            for t, d in zip(v[4:], dts):
+                t += step * d
+                vn.append(_HALF_PI if _HALF_PI < t else
+                          -_HALF_PI if t < -_HALF_PI else t)
             trial = _circumball_system(points, vn)
             if trial is not None and trial[3] < nrm:
                 v, system = vn, trial
@@ -157,7 +175,8 @@ def circumball(p0: Point, p1: Point, p2: Point, p3: Point) -> CircumballResult:
        coordinate mean m sits at the origin, where the Nil metric is
        Euclidean to first order; the circumcenter and the mean distance to
        the points there are taken as the start, and the center is
-       translated back by m.
+       translated back by m.  This start runs on Python floats, with m,
+       m^-1 q and the sums of the 3x3 system written out.
     2. The coordinate mean m of the points, with start radius R2, the
        largest Nil distance from m to the points.  Its root is accepted only
        if its radius is at most R2: a root past R2 can belong to a larger
@@ -170,23 +189,30 @@ def circumball(p0: Point, p1: Point, p2: Point, p3: Point) -> CircumballResult:
     points = _float_points(p0, p1, p2, p3)
 
     best = None
-    m = tuple(sum(p[i] for p in points) / 4.0 for i in range(3))
-    loc = [_relative_target(m, q) for q in points]
-    o = loc[0]
-    A = [[2.0 * (q[i] - o[i]) for i in range(3)] for q in loc[1:]]
-    b = [sum(x * x for x in q) - sum(x * x for x in o) for q in loc[1:]]
-    det, C = _solve3(A, b)
+    mx, my, mz = [(a + b + c + d) / 4.0 for a, b, c, d in zip(*points)]
+    # m^-1 q, as _relative_target(m, q) gives it
+    w = mx * my - mz
+    loc = [(x - mx, y - my, z - y * mx + w) for x, y, z in points]
+    o, q1, q2, q3 = loc
+    ox, oy, oz = o
+    oo = ox * ox + oy * oy + oz * oz
+    det, C = _solve3([2.0 * (x - y) for x, y in zip((*q1, *q2, *q3), o * 3)],
+                     [x * x + y * y + z * z - oo for x, y, z in (q1, q2, q3)])
     degenerate = abs(det) < 1e-12
     if not degenerate:
-        R0 = sum(math.dist(q, C) for q in loc) / 4.0
-        best = _newton_circumball(points, [*translate(C, m), R0])
+        Cx, Cy, Cz = C
+        R0 = (math.dist(o, C) + math.dist(q1, C) + math.dist(q2, C)
+              + math.dist(q3, C)) / 4.0
+        # translate(C, m) written out
+        best = _newton_circumball(
+            points, [Cx + mx, Cy + my, Cz + Cy * mx + mz, R0])
     if best is None:
         try:
             R2 = max(distance_to_origin(q) for q in loc)
         except NoSolutionError:
             pass  # a point lies beyond 2*pi of m: no restart from there
         else:
-            root = _newton_circumball(points, [*m, R2])
+            root = _newton_circumball(points, [mx, my, mz, R2])
             if root is not None and root[0][3] <= R2:
                 best = root
     if best is None:

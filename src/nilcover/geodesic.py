@@ -47,7 +47,7 @@ import numpy as np
 
 from ._brent import _brentq
 from .core import Point, inverse, translate
-from .errors import DomainError, NoSolutionError
+from .errors import DomainError, NilcoverError, NoSolutionError
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -291,6 +291,7 @@ def _invert_profile(rho, zeta):
 
 _PAST_FLOAT_RANGE = "a coordinate past the float range is out of reach"
 _NOT_A_NUMBER = "point coordinates must be real numbers"
+_NOT_A_TRIPLE = "points must be coordinate triples"
 
 
 def _coordinate(x) -> float:
@@ -299,7 +300,9 @@ def _coordinate(x) -> float:
     the float range."""
     # float and int first: they pass without the ABC's slower check
     if not isinstance(x, (float, int, numbers.Real)):
-        raise DomainError(_NOT_A_NUMBER)
+        # from None: distance_to_origin asks this while handling the
+        # TypeError that such a coordinate raised
+        raise DomainError(_NOT_A_NUMBER) from None
     try:
         return float(x)
     except OverflowError:
@@ -308,11 +311,18 @@ def _coordinate(x) -> float:
 
 def _float_points(*points) -> list:
     """The points with float coordinates, as _coordinate reads them; a
-    float passes as it is.  An infinite coordinate is left to the solvers,
+    float passes as it is.  A point that is not a sequence of three values
+    raises DomainError.  An infinite coordinate is left to the solvers,
     which raise NoSolutionError for it."""
-    return [(x if type(x) is float else _coordinate(x),
-             y if type(y) is float else _coordinate(y),
-             z if type(z) is float else _coordinate(z)) for x, y, z in points]
+    try:
+        return [(x if type(x) is float else _coordinate(x),
+                 y if type(y) is float else _coordinate(y),
+                 z if type(z) is float else _coordinate(z))
+                for x, y, z in points]
+    except NilcoverError:  # _coordinate's DomainError is a ValueError too
+        raise
+    except (TypeError, ValueError):  # the unpacking of a point failed
+        raise DomainError(_NOT_A_TRIPLE) from None
 
 
 def distance_to_origin(p: Point) -> float:
@@ -320,14 +330,16 @@ def distance_to_origin(p: Point) -> float:
 
     Raises NoSolutionError when p lies farther than 2*pi from the origin,
     as it does for a coordinate past the float range, and DomainError for
-    a coordinate that is no number, such as a str.
+    a p that is no coordinate triple or a coordinate that is no number,
+    such as a str.
     """
     try:
         rho, zeta = _reduced(p)
     except OverflowError:  # an int past the float range, as far as inf
         raise NoSolutionError(_PAST_FLOAT_RANGE) from None
-    except TypeError:
-        raise DomainError(_NOT_A_NUMBER) from None
+    except (TypeError, ValueError):
+        _float_points(p)  # raises the DomainError that names the fault
+        raise
     return _invert_profile(rho, zeta)[1]
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from nilcover import covering, geodesic
+from nilcover import ball, covering, geodesic
 from nilcover import (DomainError, ball_volume, distance_to_origin,
                       first_profile_critical_theta, hull_gap, is_ball_convex,
                       is_m_image_convex, m_map, max_vertical_chord,
@@ -76,6 +76,35 @@ def test_volume_matches_mpmath_reference():
               6.0, 2 * math.pi):
         ref = float(mp_ball_volume(R))
         assert abs(ball_volume(R) / ref - 1.0) < 1e-13, R
+
+
+def test_volume_loop_matches_profile_kernel_sum():
+    # ball_volume's loop computes X and dZ/dtheta itself; its sum is bit
+    # for bit the one of _profile_fj's values over _VOLUME_RULE
+    def kernel_sum(R):
+        total = 0.0
+        for theta, weight in ball._VOLUME_RULE:
+            X, _, _, _, dZdt, _ = geodesic._profile_fj(R, theta)
+            total += weight * X * X * dZdt
+        return 2 * math.pi * total
+
+    rng = np.random.default_rng(2027)
+    radii = [0.0, 1e-9, math.pi, 2 * math.pi, *rng.uniform(0.0, 2 * math.pi,
+                                                          2000).tolist()]
+    # radii that put a node u = R sin(theta) just below and just above
+    # _profile_fj's series switches |u| = 0.1 and |u/2| = 1e-6
+    below, above = set(), set()
+    for theta, _ in ball._VOLUME_RULE:
+        w = math.sin(theta)
+        for edge in (0.1, 2e-6):
+            for R in (edge / w * (1 - 1e-12), edge / w * (1 + 1e-12)):
+                if R <= 2 * math.pi:
+                    radii.append(R)
+                    (below if w * R < edge else above).add((theta, edge))
+    # all 17 nodes at the v switch, all but the lowest at the u switch
+    assert below == above and len(below) == 33
+    for R in radii:
+        assert ball_volume(R) == kernel_sum(R), R
 
 
 def test_volume_domain():

@@ -5,6 +5,7 @@ import importlib
 import logging
 import math
 import random
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -90,19 +91,19 @@ def test_distance_gradient_matches_central_differences():
               (c0, translate((0.6, 0.5, 0.15), c0))]
     # at the exact radius and pitch of p seen from c, the circumball
     # Newton's eliminated row for p is [gradient of distance(c, p), -1],
-    # and its distance error is 0
+    # whose g part the system returns, and its distance error is 0
     h = 1e-6
     for c, p in pairs:
         d = distance(c, p)
         rho, zeta = geodesic._reduced(geodesic._relative_target(c, p))
         theta = math.copysign(geodesic._invert_profile(rho, zeta)[0], zeta)
-        (row,), (r,), _, _ = covering._circumball_system([p], [*c, d, theta])
-        assert row[3] == -1.0 and abs(r) < 1e-12
+        g, (r,), _, _ = covering._circumball_system([p], [*c, d, theta])
+        assert len(g) == 3 and abs(r) < 1e-12
         for i in range(3):
             cp = tuple(x + h * (j == i) for j, x in enumerate(c))
             cm = tuple(x - h * (j == i) for j, x in enumerate(c))
             fd = (distance(cp, p) - distance(cm, p)) / (2.0 * h)
-            assert abs(row[i] - fd) < 1e-6
+            assert abs(g[i] - fd) < 1e-6
     # c = p: the distance has no gradient there, and the block is singular
     assert covering._circumball_system([c0], [*c0, 0.0, 0.5 * math.pi]) is None
 
@@ -567,8 +568,20 @@ def test_points_take_real_numbers_only():
                          lambda: distance(p, q[i]),
                          lambda: distance_to_origin(q[i]),
                          lambda: geodesic_between(q[i], p)):
-                with pytest.raises(DomainError):
+                with pytest.raises(DomainError, match="real numbers"):
                     call()
+    # a point of the wrong length, or one that is no sequence, is no
+    # coordinate triple, wherever it stands
+    for bad in ((1.0, 0.0), (0.0, 1.0, 0.0, 0.0), (), 5, None):
+        for call in (lambda: distance(ORIGIN, bad), lambda: distance(bad, p),
+                     lambda: distance_to_origin(bad),
+                     lambda: geodesic_between(p, bad),
+                     lambda: geodesic_between(bad, p),
+                     lambda: circumball(*tet[:3], bad),
+                     lambda: circumball(bad, *tet[1:])):
+            with pytest.raises(DomainError,
+                               match="points must be coordinate triples"):
+                call()
 
 
 def test_covering_density_report():
@@ -721,7 +734,7 @@ def test_solve3_matches_numpy():
         A = rng.uniform(-1.0, 1.0, (3, 3))
         b = rng.uniform(-1.0, 1.0, 3)
         want = np.linalg.solve(A, b)
-        det, got = covering._solve3(A.tolist(), b.tolist())
+        det, got = covering._solve3(A.ravel().tolist(), b.tolist())
         assert det == pytest.approx(np.linalg.det(A), rel=1e-12)
         assert all(type(x) is float for x in got)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -729,7 +742,8 @@ def test_solve3_matches_numpy():
     A = [[0.3, -1.2, 0.7], [0.5, 0.25, -2.0], [0.3, -1.2, 0.7]]
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(np.array(A), np.ones(3))
-    assert covering._solve3(A, [1.0] * 3) == (0.0, None)
+    flat = [x for row in A for x in row]
+    assert covering._solve3(flat, [1.0] * 3) == (0.0, None)
 
 
 def test_eliminated_step_matches_4x4_solve():
@@ -747,9 +761,10 @@ def test_eliminated_step_matches_4x4_solve():
             thetas = [math.atan2(zeta, rho) + rng.uniform(-0.05, 0.05)
                       for rho, zeta in (geodesic._reduced(
                           geodesic._relative_target(c, q)) for q in pts)]
-            rows, r, _, _ = covering._circumball_system(pts, [*c, R, *thetas])
-            want = np.linalg.solve(np.array(rows), -np.array(r))
-            got = covering._eliminated_step(rows, r)
+            g, r, _, _ = covering._circumball_system(pts, [*c, R, *thetas])
+            rows = np.c_[np.reshape(g, (4, 3)), -np.ones(4)]
+            want = np.linalg.solve(rows, -np.array(r))
+            got = covering._eliminated_step(g, r)
             assert all(type(x) is float for x in got)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -763,11 +778,12 @@ def test_newton_circumball_singular_jacobian(monkeypatch):
                         lambda R, theta: (0.0, 0.0, 0.0, 1.0, 1.0, 0.0))
     pts = [(float(i), 0.0, 0.0) for i in range(4)]
     v0 = (0.0, 0.0, 0.0, 1.0)
-    rows, r, _, nrm = covering._circumball_system(pts, [*v0, *[0.0] * 4])
-    assert [row[2] for row in rows] == [0.0] * 4 and nrm > 0.0
+    g, r, _, nrm = covering._circumball_system(pts, [*v0, *[0.0] * 4])
+    assert g[2::3] == [0.0] * 4 and nrm > 0.0
+    rows = np.c_[np.reshape(g, (4, 3)), -np.ones(4)]
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(np.array(rows), np.ones(4))
-    assert covering._eliminated_step(rows, r) is None
+        np.linalg.solve(rows, np.ones(4))
+    assert covering._eliminated_step(g, r) is None
     assert covering._newton_circumball(pts, v0) is None
 
 
@@ -785,6 +801,37 @@ def test_distance_gradient_reuses_newton_jacobian(monkeypatch):
     in_circumball.clear()
     circumball(*corner_tet(hex_family_lattice(1.26001585)))
     assert (len(in_circumball), len(evals)) == (20, 0)
+
+
+def test_profile_kernel_calls_per_operation(monkeypatch):
+    # every call of the profile kernel, through whichever module binds it:
+    # ball_volume computes its two profile values itself (it made 17
+    # kernel calls, so 37 per hex_density), and a circumball evaluation is
+    # one kernel call per point
+    calls = []
+    real = geodesic._profile_fj
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("nilcover")
+                and getattr(module, "_profile_fj", None) is real):
+            monkeypatch.setattr(module, "_profile_fj", counted)
+    systems = _count_calls(monkeypatch, "_circumball_system")
+    hex_corner = corner_tet(hex_family_lattice(1.26001585))
+    for run, want in ((lambda: circumball(*hex_corner), 20),
+                      (lambda: hex_density(1.26001585), 20),
+                      (lambda: covering_density(lattice_from_params(OPT)),
+                       144)):
+        calls.clear()
+        systems.clear()
+        run()
+        assert len(calls) == want
+    # OPT's six circumballs: 30 evaluations of four calls; the sampling
+    # check's six probe solves make the other 24
+    assert len(systems) == 30
 
 
 COPLANAR = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0), (0.0, 1.0, 0.0))
