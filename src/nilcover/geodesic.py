@@ -339,7 +339,7 @@ def distance_to_origin(p: Point) -> float:
         raise NoSolutionError(_PAST_FLOAT_RANGE) from None
     except (TypeError, ValueError):
         _float_points(p)  # raises the DomainError that names the fault
-        raise
+        raise  # p read as three real numbers: the fault is not p's
     return _invert_profile(rho, zeta)[1]
 
 
