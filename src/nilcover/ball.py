@@ -23,17 +23,13 @@ import numpy as np
 
 from .constants import BALL_CONVEXITY_MAX_RADIUS, M_IMAGE_CONVEXITY_MAX_RADIUS
 from .core import Point, m_inverse
-from .errors import DomainError, _finite_number, _whole_number
+from .errors import _finite_number, _real_number, _whole_number
 from .geodesic import PI, TWO_PI, _profile
 
 
-def _check_radius(R: float, allow_zero=False) -> float:
-    R = _finite_number(R, "radius must be a finite number")
-    if R > TWO_PI + 1e-12:
-        raise DomainError("no geodesic sphere of radius %g > 2*pi" % R)
-    if R < 0.0 or (R == 0.0 and not allow_zero):
-        raise DomainError("radius must be positive")
-    return R
+def _check_radius(R: float) -> float:
+    return _real_number(R, math.ulp(0.0), TWO_PI + 1e-12,
+                        "radius must lie in (0, 2*pi]")
 
 
 @dataclass(frozen=True)
@@ -45,9 +41,8 @@ class ProfilePoint:
 def sphere_profile(R: float, theta: float) -> ProfilePoint:
     """Profile of the sheared sphere: X is the axis distance, Z the height."""
     R = _check_radius(R)
-    theta = _finite_number(theta, "theta must lie in [-pi/2, pi/2]")
-    if not -0.5 * PI - 1e-12 <= theta <= 0.5 * PI + 1e-12:
-        raise DomainError("theta must lie in [-pi/2, pi/2]")
+    theta = _real_number(theta, -0.5 * PI - 1e-12, 0.5 * PI + 1e-12,
+                         "theta must lie in [-pi/2, pi/2]")
     X, Z = _profile(R, theta)
     return ProfilePoint(X, Z)
 
@@ -110,7 +105,7 @@ def ball_volume(R: float) -> float:
     switches for sinc(v) and q(u), so the sum is bit for bit the one of
     _profile_fj's values; u = R sin(theta) >= 0 here, so no abs is taken.
     """
-    R = _check_radius(R, allow_zero=True)
+    R = _real_number(R, 0.0, TWO_PI + 1e-12, "radius must lie in [0, 2*pi]")
     R3 = R ** 3
     total = 0.0
     for w, c, weight in _VOLUME_TABLE:

@@ -24,7 +24,7 @@ from ._brent import _brentq, _fminbound
 from .ball import _check_radius, ball_volume
 from .core import Point, inverse, translate
 from .errors import (DegenerateGeometryError, DomainError, NilcoverError,
-                     NoSolutionError, _finite_number, _whole_number)
+                     NoSolutionError, _real_number, _whole_number)
 from .geodesic import (PI, TWO_PI, _float_points, _profile, _profile_array,
                        _profile_fj, distance_to_origin)
 from .lattice import (DOMAIN_TETRAHEDRA, Lattice, LatticeBasis, _shell_words,
@@ -626,9 +626,10 @@ def covering_radius(lattice: Lattice) -> float:
     far from the lattice, never a radius that is too large.  If it finds an
     uncovered point (possible when the balls are large enough to be
     non-convex) the radius is grown to the exact distance of the worst
-    uncovered point, its witness, and checked once more; NoSolutionError
-    if that check fails too, as when a point lies beyond 2*pi of the
-    lattice.
+    uncovered point, its witness, without a second check: that distance
+    is the largest of every sample and probe the check measured, and the
+    rest lie within the table's radius, so a check there would pass.
+    NoSolutionError if the witness lies beyond 2*pi of the lattice.
     """
     balls = [circumball(*tet) for tet in domain_tetrahedra(lattice)]
     R = max(b.radius for b in balls)
@@ -639,19 +640,19 @@ def covering_radius(lattice: Lattice) -> float:
         return R
     log.warning("tetrahedra circumradius %.12g fails sampling check; "
                 "growing to witness distance %.12g", R, res.witness_distance)
-    R = min(res.witness_distance, TWO_PI)
-    if _sample_check(lattice, R, 20000, probes).covered:
-        return R
-    raise NoSolutionError("no covering radius <= 2*pi")
+    if res.witness_distance > TWO_PI + 1e-9:
+        raise NoSolutionError("no covering radius <= 2*pi")
+    return min(res.witness_distance, TWO_PI)
 
 
 @dataclass(frozen=True)
 class DensityReport:
     """Covering radius and density of a lattice.
 
-    verified is True from covering_density: the sampling check of
-    verify_covering passed at the returned radius.  It is False from
-    hex_density, which does not run the check.
+    verified is True from covering_density: no sample of verify_covering's
+    check lies farther than the returned radius from the lattice (the check
+    passed at the radius, or the radius is the check's worst distance).
+    It is False from hex_density, which does not run the check.
     """
 
     lattice: LatticeBasis
@@ -689,30 +690,30 @@ _H2 = 5.0 * PI
 def bound_f(R: float) -> float:
     """Density lower bound for covering radii in [pi/2, pi]: the vertical
     chord through any domain point is at most 2R there."""
-    if not 0.5 * PI - 1e-12 <= R <= PI + 1e-12:
-        raise DomainError("bound_f needs R in [pi/2, pi]")
+    R = _real_number(R, 0.5 * PI - 1e-12, PI + 1e-12,
+                     "bound_f needs R in [pi/2, pi]")
     return ball_volume(R) / (2.0 * R) ** 2
 
 
 def bound_f1(R: float) -> float:
     """Same bound for R in [pi, 3pi/2], with the chord capped at 13pi/4."""
-    if not PI - 1e-12 <= R <= 1.5 * PI + 1e-12:
-        raise DomainError("bound_f1 needs R in [pi, 3*pi/2]")
+    R = _real_number(R, PI - 1e-12, 1.5 * PI + 1e-12,
+                     "bound_f1 needs R in [pi, 3*pi/2]")
     return ball_volume(R) / _H1 ** 2
 
 
 def bound_f2(R: float) -> float:
     """Same bound for R in [3pi/2, 2pi], chord capped at 5pi."""
-    if not 1.5 * PI - 1e-12 <= R <= TWO_PI + 1e-12:
-        raise DomainError("bound_f2 needs R in [3*pi/2, 2*pi]")
+    R = _real_number(R, 1.5 * PI - 1e-12, TWO_PI + 1e-12,
+                     "bound_f2 needs R in [3*pi/2, 2*pi]")
     return ball_volume(R) / _H2 ** 2
 
 
 def equidistant_projection(p: Point, lattice: Lattice) -> Point:
     """Project p along the z-axis onto the surface equidistant from the
     origin and its fibre translate: 2z - xy = fibre."""
-    x, y, _ = p
-    return (float(x), float(y), 0.5 * (lattice.fibre + x * y))
+    x, y, _ = _float_points(p)[0]
+    return (x, y, 0.5 * (lattice.fibre + x * y))
 
 
 # ---------------------------------------------------------------------------
@@ -752,9 +753,8 @@ def lower_bound_density(rp: float) -> LowerBoundConfig:
     (_brent._brentq); NoSolutionError when psi(1e-6) <= 0 <= psi(pi/2 -
     1e-12) fails.
     """
-    rp = _finite_number(rp, "trial radius must lie in (0, pi/2]")
-    if not 0.0 < rp <= 0.5 * PI + 1e-12:
-        raise DomainError("trial radius must lie in (0, pi/2]")
+    rp = _real_number(rp, math.ulp(0.0), 0.5 * PI + 1e-12,
+                      "trial radius must lie in (0, pi/2]")
 
     def psi(theta):
         chord, area2, _ = _lower_bound_terms(rp, theta)
@@ -789,8 +789,8 @@ def minimize_lower_bound() -> tuple[float, float]:
 def hex_family_lattice(t11: float) -> LatticeBasis:
     """Lattice with regular hexagonal projection whose generators lie on the
     equidistant surface; one free scale parameter."""
-    if _finite_number(t11, "scale parameter must be finite") <= 0.0:
-        raise DomainError("scale parameter must be positive")
+    t11 = _real_number(t11, math.ulp(0.0), math.inf,
+                       "scale parameter must be a positive number")
     s3 = math.sqrt(3.0)
     t1 = (t11, 0.0, s3 * t11 * t11 / 4.0)
     t2 = (0.5 * t11, 0.5 * s3 * t11, 3.0 * s3 * t11 * t11 / 8.0)

@@ -39,11 +39,21 @@ def _finite_number(value, message: str) -> float:
     raise DomainError(message)
 
 
+def _real_number(value, least, most, message: str) -> float:
+    """float(value) for a finite real number in [least, most].  Anything
+    else raises DomainError(message).  A positive argument takes
+    math.ulp(0.0), the least positive float, as least: a float is at least
+    that exactly when it is above 0."""
+    if not least <= _finite_number(value, message) <= most:
+        raise DomainError(message)
+    return float(value)
+
+
 def _whole_number(value, least, most, message: str) -> int:
-    """int(value) for a finite real number of integral value in
-    [least, most]; an integral float is read as that integer.  Anything
-    else raises DomainError(message)."""
-    if not (_finite_number(value, message).is_integer()
-            and least <= value <= most):
+    """int(value) for a real number of integral value in [least, most], as
+    _real_number reads it (the bounds are integers or infinite, so the
+    float passes exactly when the value does); an integral float is read
+    as that integer.  Anything else raises DomainError(message)."""
+    if not _real_number(value, least, most, message).is_integer():
         raise DomainError(message)
     return int(value)

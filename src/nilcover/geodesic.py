@@ -47,7 +47,7 @@ import numpy as np
 
 from ._brent import _brentq
 from .core import Point, inverse, translate
-from .errors import DomainError, NilcoverError, NoSolutionError
+from .errors import DomainError, NilcoverError, NoSolutionError, _finite_number
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -162,6 +162,11 @@ class GeodesicSolveResult:
 
 
 def geodesic_xyz(alpha: float, theta: float, s: float) -> Point:
+    """Endpoint of the geodesic from the origin with heading alpha, pitch
+    theta and arc length s; DomainError unless all three are finite
+    numbers."""
+    message = "geodesic parameters must be finite numbers"
+    alpha, theta, s = [_finite_number(v, message) for v in (alpha, theta, s)]
     r, Z = _profile(s, theta)
     u = math.sin(theta) * s
     psi = 0.5 * u + alpha

@@ -36,12 +36,15 @@ class LatticeBasis:
     k: int = 1
 
     def __post_init__(self):
-        if len(self.t1) != 3 or len(self.t2) != 3:
-            raise DomainError("generators must be coordinate triples")
+        try:
+            (x1, y1, z1), (x2, y2, z2) = self.t1, self.t2
+        except (TypeError, ValueError):  # such as 5, None or a pair
+            raise DomainError(
+                "generators must be coordinate triples") from None
         message = "generator components must be finite numbers"
-        for name in ("t1", "t2"):
+        for name, t in (("t1", (x1, y1, z1)), ("t2", (x2, y2, z2))):
             object.__setattr__(self, name, tuple(
-                _finite_number(v, message) for v in getattr(self, name)))
+                [_finite_number(v, message) for v in t]))
         object.__setattr__(self, "k", _whole_number(
             self.k, 1, math.inf, "k must be a positive integer"))
 
@@ -127,9 +130,8 @@ def fundamental_domain(lattice: Lattice) -> FundamentalDomain:
     where it equals tau2 tau1 (tau2 tau1 = tau1 tau2 tau3^k).  The tiling
     check takes its solid from here (_tiling_table).
     """
-    t11, _, t13 = lattice.t1
-    t21, t22, t23 = lattice.t2
-    vk = t11 * t22 / lattice.k
+    (t11, _, t13), (t21, t22, t23) = lattice.t1, lattice.t2
+    vk = lattice.tau3[2]
     return FundamentalDomain(
         O=(0.0, 0.0, 0.0),
         T1=(t11, 0.0, t13),

@@ -116,6 +116,15 @@ def test_volume_domain():
     for R in (math.nan, math.inf, 10 ** 400, "1.0"):
         with pytest.raises(DomainError):
             ball_volume(R)
+    # a volume is defined at radius 0, a sphere is not: every other radius
+    # argument takes the least positive float and refuses 0
+    assert ball_volume(0) == ball_volume(-0.0) == 0.0
+    for f in (is_ball_convex, is_m_image_convex, first_profile_critical_theta,
+              max_vertical_chord, lambda R: sphere_profile(R, 0.0)):
+        f(5e-324)
+        for R in (0, 0.0, -0.0):
+            with pytest.raises(DomainError, match=r"radius must lie in"):
+                f(R)
 
 
 def test_vertical_chords():

@@ -15,12 +15,12 @@ import pytest
 from scipy.optimize import minimize
 
 from nilcover import covering, geodesic
-from nilcover import (DegenerateGeometryError, DomainError, LatticeBasis,
-                      NoSolutionError, ball_volume, bound_f, bound_f1,
-                      bound_f2, circumball, compose, covering_density,
+from nilcover import (DegenerateGeometryError, DomainError, GeodesicParams,
+                      LatticeBasis, NoSolutionError, ball_volume, bound_f,
+                      bound_f1, bound_f2, circumball, compose, covering_density,
                       covering_radius, distance, distance_to_origin,
                       domain_tetrahedra, equidistant_projection,
-                      fundamental_domain, geodesic_between,
+                      fundamental_domain, geodesic_between, geodesic_xyz,
                       hex_covering_radius, hex_density, hex_family_lattice,
                       inverse, lattice_from_params, lattice_points_in_shell,
                       lower_bound_density, m_map,
@@ -532,19 +532,31 @@ ORIGIN = (0.0, 0.0, 0.0)
     (lambda x: sphere_point(1.0, 0.1, x), DomainError),
     (lambda x: sphere_profile(1.0, x), DomainError),
     (lambda x: sphere_point(1.0, x, 0.0), DomainError),
+    (bound_f, DomainError),
+    (bound_f1, DomainError),
+    (bound_f2, DomainError),
+    (ball_volume, DomainError),
+    (lambda x: verify_covering(lattice_from_params(UNIT), x), DomainError),
+    (lambda x: geodesic_xyz(x, 0.0, 1.0), DomainError),
+    (lambda x: geodesic_xyz(0.0, x, 1.0), DomainError),
+    (lambda x: geodesic_xyz(0.0, 0.0, x), DomainError),
 ], ids=["distance_to_origin", "distance-p2", "distance-p1",
         "geodesic_between", "circumball", "hex_family_lattice",
         "hex_density", "hex_covering_radius", "lower_bound_density",
-        "sphere_point-phi", "sphere_profile-theta", "sphere_point-theta"])
+        "sphere_point-phi", "sphere_profile-theta", "sphere_point-theta",
+        "bound_f", "bound_f1", "bound_f2", "ball_volume",
+        "verify_covering-radius", "geodesic_xyz-alpha", "geodesic_xyz-theta",
+        "geodesic_xyz-s"])
 def test_past_float_range_raises_as_inf(call, error):
     # an int past the float range raises the error that inf gets in the
-    # same argument, not a bare OverflowError; a non-finite phi or theta
-    # is no angle.  A str is no number: DomainError wherever it stands,
-    # also where a number would be read from it
+    # same argument, not a bare OverflowError; a non-finite angle, radius,
+    # scale or geodesic parameter is no real number.  A str or None is no
+    # number: DomainError wherever it stands, also where a number would be
+    # read from it
     for x in (math.inf, -math.inf, math.nan, 10 ** 400, -10 ** 400):
         with pytest.raises(error):
             call(x)
-    for x in ("0.1", "a"):
+    for x in ("0.1", "a", None):
         with pytest.raises(DomainError):
             call(x)
 
@@ -552,6 +564,7 @@ def test_past_float_range_raises_as_inf(call, error):
 def test_points_take_real_numbers_only():
     # ints and numpy scalars are read as the floats they equal; a str
     # coordinate is not parsed, wherever it stands
+    lat = lattice_from_params(UNIT)
     p = (0.3, -0.2, 0.45)
     d = distance(ORIGIN, p)
     assert distance((0, 0, 0), [np.float64(x) for x in p]) == d
@@ -567,7 +580,8 @@ def test_points_take_real_numbers_only():
             for call in (lambda: circumball(*q), lambda: distance(q[i], p),
                          lambda: distance(p, q[i]),
                          lambda: distance_to_origin(q[i]),
-                         lambda: geodesic_between(q[i], p)):
+                         lambda: geodesic_between(q[i], p),
+                         lambda: equidistant_projection(q[i], lat)):
                 with pytest.raises(DomainError, match="real numbers"):
                     call()
     # a point of the wrong length, or one that is no sequence, is no
@@ -578,7 +592,8 @@ def test_points_take_real_numbers_only():
                      lambda: geodesic_between(p, bad),
                      lambda: geodesic_between(bad, p),
                      lambda: circumball(*tet[:3], bad),
-                     lambda: circumball(bad, *tet[1:])):
+                     lambda: circumball(bad, *tet[1:]),
+                     lambda: equidistant_projection(bad, lat)):
             with pytest.raises(DomainError,
                                match="points must be coordinate triples"):
                 call()
@@ -626,8 +641,9 @@ def test_covering_density_one_covering_pass(monkeypatch):
 
 def test_covering_radius_grows_to_witness(monkeypatch, caplog):
     # circumradii 3 % short fail the sampling check; the radius is grown to
-    # the exact distance of the check's witness and checked once more,
-    # still from the first six circumballs
+    # the exact distance of the check's witness, the largest distance the
+    # check measured, still from the first six circumballs.  A second check
+    # there would pass, so none runs; a fresh check does pass
     circumballs = _count_calls(
         monkeypatch, "circumball",
         lambda res: replace(res, radius=0.97 * res.radius))
@@ -637,8 +653,11 @@ def test_covering_radius_grows_to_witness(monkeypatch, caplog):
     assert abs(rep.covering_radius - 0.90293941) < 1e-6
     assert rep.verified
     assert len(circumballs) == 6
-    assert len(checks) == 2
+    assert len(checks) == 1
     assert "witness distance %.12g" % rep.covering_radius in caplog.text
+    monkeypatch.undo()
+    assert verify_covering(lattice_from_params(OPT),
+                           rep.covering_radius).covered
 
 
 def test_no_multistart_sweeps_on_paper_lattices(monkeypatch):
@@ -856,6 +875,29 @@ def test_circumball_restart_guard(monkeypatch):
     assert math.hypot(*F) < 1e-8
 
 
+def test_circumball_centroid_start_root_accepted(monkeypatch):
+    # draw 192 of 3 000 seeded random tetrahedra (s uniform in [0.2, 3],
+    # vertices uniform in [-s, s]^3, np.random.default_rng(0)): the
+    # local-frame start finds no root, and the centroid start finds one
+    # within its start radius R2, which circumball accepts
+    tet = [(0.7243321300424717, 0.08041613944279713, -1.214091921137485),
+           (0.6926950613599765, -1.1034947607677354, 1.3186865379189616),
+           (0.03460130308316711, 0.43062843863124, -1.4386066880508221),
+           (-1.0749266008507505, 0.9405248991499839, -1.3092643735958136)]
+    roots = []
+    starts = _count_calls(monkeypatch, "_newton_circumball",
+                          lambda root: roots.append(root) or root)
+    ball = circumball(*tet)
+    assert len(starts) == 2 and roots[0] is None
+    R2 = starts[1][1][3]
+    assert abs(ball.radius - 1.7233710287) < 1e-9 and ball.radius <= R2
+    for p in tet:
+        assert abs(distance(ball.center, p) - ball.radius) <= 1e-12
+    # a geodesic from a point to itself has length 0
+    res = geodesic_between(tet[0], tet[0])
+    assert res.params == GeodesicParams(0.0, 0.0, 0.0) and res.residual == 0.0
+
+
 def test_circumball_at_most_two_newton_runs(monkeypatch):
     # the local-frame start and the centroid start are the only ones: four
     # of K3's domain tetrahedra and points out of geodesic reach of each
@@ -957,6 +999,10 @@ def test_equidistant_projection():
     lat = lattice_from_params(UNIT)
     assert equidistant_projection((0.0, 0.0, 0.3), lat) == (0.0, 0.0, 0.5)
     assert equidistant_projection((1.0, 1.0, -2.0), lat) == (1.0, 1.0, 1.0)
+    # ints and numpy scalars are read as the floats they equal
+    for q in ((1, 1, -2), np.array((1.0, 1.0, -2.0))):
+        assert equidistant_projection(q, lat) == (1.0, 1.0, 1.0)
+        assert all(type(x) is float for x in equidistant_projection(q, lat))
     rng = random.Random(111)
     for basis in (UNIT, OPT):
         lat = lattice_from_params(basis)

@@ -239,6 +239,28 @@ def test_degenerate_basis_rejected():
         assert basis.k == 3 and type(basis.k) is int
 
 
+def test_generators_must_be_triples():
+    # a generator that is no sequence, or one of the wrong length, is no
+    # coordinate triple, in either place
+    for bad in (5, None, (1.0, 0.0), (1.0, 0.0, 0.0, 0.0)):
+        for t1, t2 in ((bad, (0.0, 1.0, 0.0)), ((1.0, 0.0, 0.0), bad)):
+            with pytest.raises(DomainError,
+                               match="generators must be coordinate triples"):
+                LatticeBasis(t1, t2)
+
+
+def test_domain_needs_a_normalized_lattice():
+    # a raw basis whose t1 leaves the x-axis has no fibre of its own: the
+    # domain functions take the Lattice that lattice_from_params makes,
+    # and refuse the basis instead of building a wrong solid from it
+    basis = LatticeBasis((1.0, 1.0, 0.0), (0.0, 1.0, 0.0))
+    for call in (fundamental_domain, domain_tetrahedra, domain_volume):
+        with pytest.raises(AttributeError):
+            call(basis)
+    T1 = fundamental_domain(lattice_from_params(basis)).T1
+    assert close(T1, (math.sqrt(2.0), 0.0, -0.5))
+
+
 def test_tiling_spot_checks():
     for basis in (UNIT, OPT):
         rep = tiling_spot_check(lattice_from_params(basis), samples=400, seed=0)
