@@ -93,7 +93,7 @@ def _load_lattice(args) -> lattice.Lattice:
         try:
             with open(args.lattice_file, encoding="utf-8") as fh:
                 basis = lattice.LatticeBasis.from_dict(json.load(fh))
-        except (ValueError, KeyError, TypeError) as exc:
+        except ValueError as exc:  # bad JSON, or a DomainError
             raise DomainError("invalid lattice file: %s" % exc)
         return lattice.lattice_from_params(basis)
     values = args.lattice.split(",")

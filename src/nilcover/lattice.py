@@ -11,6 +11,7 @@ under the lattice action for every k (tiling_spot_check samples this).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +37,16 @@ class LatticeBasis:
     k: int = 1
 
     def __post_init__(self):
+        triples = "generators must be coordinate triples"
+        # a mapping or a set unpacks too, but in no coordinate order, and
+        # bytes unpack to character codes
+        if any(isinstance(t, (Mapping, Set, bytes, bytearray))
+               for t in (self.t1, self.t2)):
+            raise DomainError(triples)
         try:
             (x1, y1, z1), (x2, y2, z2) = self.t1, self.t2
         except (TypeError, ValueError):  # such as 5, None or a pair
-            raise DomainError(
-                "generators must be coordinate triples") from None
+            raise DomainError(triples) from None
         message = "generator components must be finite numbers"
         for name, t in (("t1", (x1, y1, z1)), ("t2", (x2, y2, z2))):
             object.__setattr__(self, name, tuple(
@@ -52,8 +58,14 @@ class LatticeBasis:
         return {"t1": list(self.t1), "t2": list(self.t2), "k": self.k}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "LatticeBasis":
-        return cls(tuple(data["t1"]), tuple(data["t2"]), data.get("k", 1))
+    def from_dict(cls, data: Mapping) -> "LatticeBasis":
+        """The basis of to_dict's mapping: generators t1 and t2 and an
+        optional k (1 if absent), read as the constructor reads them.
+        Data that is no mapping with keys t1 and t2 raises DomainError."""
+        if not (isinstance(data, Mapping) and "t1" in data and "t2" in data):
+            raise DomainError("a lattice basis is a mapping with keys t1 and "
+                              "t2, and optionally k")
+        return cls(data["t1"], data["t2"], data.get("k", 1))
 
 
 @dataclass(frozen=True)

@@ -159,8 +159,10 @@ def test_lattice_file(tmp_path, capsys):
 
 def test_lattice_file_is_json_only(tmp_path, capsys):
     f = tmp_path / "lat.csv"
-    # CSV is no lattice file, nor is a file that is not UTF-8
-    for content in (b"1,0,0,0,1,0\n", b"\xff\xfe\x00{\x00"):
+    # CSV is no lattice file, nor is a file that is not UTF-8, nor JSON
+    # that is no mapping of two generator triples
+    for content in (b"1,0,0,0,1,0\n", b"\xff\xfe\x00{\x00", b"[1, 2]",
+                    b'{"t1": [1, 0, 0]}', b'{"t1": 5, "t2": [0, 1, 0]}'):
         f.write_bytes(content)
         code, _, err = run_cli(capsys, "lattice", "volume", "--lattice-file",
                                str(f))

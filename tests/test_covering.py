@@ -815,18 +815,19 @@ def test_distance_gradient_reuses_newton_jacobian(monkeypatch):
     evals = _count_calls(monkeypatch, "_profile_fj", module=geodesic)
     in_circumball = _count_calls(monkeypatch, "_profile_fj")
     covering_density(lattice_from_params(OPT))
-    assert (len(in_circumball), len(evals)) == (120, 24)
+    assert (len(in_circumball), len(evals)) == (96, 24)
     evals.clear()
     in_circumball.clear()
     circumball(*corner_tet(hex_family_lattice(1.26001585)))
-    assert (len(in_circumball), len(evals)) == (20, 0)
+    assert (len(in_circumball), len(evals)) == (16, 0)
 
 
 def test_profile_kernel_calls_per_operation(monkeypatch):
     # every call of the profile kernel, through whichever module binds it:
     # ball_volume computes its two profile values itself (it made 17
-    # kernel calls, so 37 per hex_density), and a circumball evaluation is
-    # one kernel call per point
+    # kernel calls, so 33 per hex_density), and a circumball evaluation is
+    # one kernel call per point.  From the sheared local frame a hex corner
+    # takes four evaluations, and so does each of OPT's circumballs
     calls = []
     real = geodesic._profile_fj
 
@@ -840,17 +841,17 @@ def test_profile_kernel_calls_per_operation(monkeypatch):
             monkeypatch.setattr(module, "_profile_fj", counted)
     systems = _count_calls(monkeypatch, "_circumball_system")
     hex_corner = corner_tet(hex_family_lattice(1.26001585))
-    for run, want in ((lambda: circumball(*hex_corner), 20),
-                      (lambda: hex_density(1.26001585), 20),
+    for run, want in ((lambda: circumball(*hex_corner), 16),
+                      (lambda: hex_density(1.26001585), 16),
                       (lambda: covering_density(lattice_from_params(OPT)),
-                       144)):
+                       120)):
         calls.clear()
         systems.clear()
         run()
         assert len(calls) == want
-    # OPT's six circumballs: 30 evaluations of four calls; the sampling
+    # OPT's six circumballs: 24 evaluations of four calls; the sampling
     # check's six probe solves make the other 24
-    assert len(systems) == 30
+    assert len(systems) == 24
 
 
 COPLANAR = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0), (0.0, 1.0, 0.0))
@@ -875,22 +876,88 @@ def test_circumball_restart_guard(monkeypatch):
     assert math.hypot(*F) < 1e-8
 
 
-def test_circumball_centroid_start_root_accepted(monkeypatch):
-    # draw 192 of 3 000 seeded random tetrahedra (s uniform in [0.2, 3],
-    # vertices uniform in [-s, s]^3, np.random.default_rng(0)): the
-    # local-frame start finds no root, and the centroid start finds one
-    # within its start radius R2, which circumball accepts
-    tet = [(0.7243321300424717, 0.08041613944279713, -1.214091921137485),
-           (0.6926950613599765, -1.1034947607677354, 1.3186865379189616),
-           (0.03460130308316711, 0.43062843863124, -1.4386066880508221),
-           (-1.0749266008507505, 0.9405248991499839, -1.3092643735958136)]
-    roots = []
+def _seeded_domain_tetrahedra(seed, n):
+    # the six domain tetrahedra each of n seeded lattices, k uniform in
+    # 1..3: even draws in the paper's normal form over the box of the
+    # benchmark's normal-form lattices (t11 in [0.8, 1.8], t21/t11 in
+    # [0, 0.5], t22/t11 in [0.75, 1]), odd draws with both generators
+    # uniform in [-1.5, 1.5]^3
+    rng = np.random.default_rng(seed)
+    tets = []
+    for i in range(n):
+        k = int(rng.integers(1, 4))
+        if i % 2 == 0:
+            t11, a, b = (rng.uniform(0.8, 1.8), rng.uniform(0.0, 0.5),
+                         rng.uniform(0.75, 1.0))
+            t21, t22 = a * t11, b * t11
+            fibre = t11 * t22
+            basis = LatticeBasis((t11, 0.0, 0.5 * fibre),
+                                 (t21, t22, 0.5 * (fibre + t21 * t22)), k)
+        else:
+            basis = LatticeBasis(tuple(rng.uniform(-1.5, 1.5, 3).tolist()),
+                                 tuple(rng.uniform(-1.5, 1.5, 3).tolist()), k)
+        tets += domain_tetrahedra(lattice_from_params(basis))
+    return tets
+
+
+def _newton_runs(monkeypatch):
+    # each _newton_circumball call as (start, found a root)
+    runs = []
     starts = _count_calls(monkeypatch, "_newton_circumball",
-                          lambda root: roots.append(root) or root)
+                          lambda root: runs.append(root is not None) or root)
+    return starts, runs
+
+
+def test_circumball_start_chain_survey(monkeypatch):
+    # the 240 domain tetrahedra of 40 seeded lattices, by the Newton run
+    # whose root circumball returns: the sheared local-frame start finds
+    # 195 roots, the plain local-frame start 7 more and the centroid start
+    # 4; 34 have no root.  The plain and centroid starts alone find 202
+    # roots, all among these 206 with the same radii: putting the sheared
+    # start first loses none
+    starts, runs = _newton_runs(monkeypatch)
+    wins = {}
+    for tet in _seeded_domain_tetrahedra(0, 40):
+        starts.clear()
+        runs.clear()
+        try:
+            res = circumball(*tet)
+        except NoSolutionError:
+            won = None
+        else:
+            won = len(runs)
+            assert runs[-1] and res.residual <= 1e-8
+        wins[won] = wins.get(won, 0) + 1
+    assert wins == {1: 195, 2: 7, 3: 4, None: 34}
+
+
+def test_circumball_plain_start_root_accepted(monkeypatch):
+    # tetrahedron 190 of the survey above: the sheared start finds no
+    # root, and the plain local-frame start after it does
+    tet = [(0.9109933191425647, 0.0, 1.5376390488529685),
+           (0.0, 0.0, 0.061817880191621474),
+           (0.9109933191425647, 0.0, 1.59945692904459),
+           (-1.5640823050065387, 0.06785766579474484, 0.7177773423319167)]
+    starts, runs = _newton_runs(monkeypatch)
     ball = circumball(*tet)
-    assert len(starts) == 2 and roots[0] is None
-    R2 = starts[1][1][3]
-    assert abs(ball.radius - 1.7233710287) < 1e-9 and ball.radius <= R2
+    assert runs == [False, True]
+    assert abs(ball.radius - 1.3928494105) < 1e-9
+    for p in tet:
+        assert abs(distance(ball.center, p) - ball.radius) <= 1e-12
+
+
+def test_circumball_centroid_start_root_accepted(monkeypatch):
+    # tetrahedron 150 of the survey above: neither local-frame start finds
+    # a root, and the centroid start finds one within its start radius R2,
+    # which circumball accepts
+    tet = [(0.0, 0.0, 0.0), (1.060141259473274, 0.0, 0.8840448689869412),
+           (1.3845353216992817, 0.16739950910065626, -0.9822671112780756),
+           (0.0, 0.0, 0.08873356320658876)]
+    starts, runs = _newton_runs(monkeypatch)
+    ball = circumball(*tet)
+    assert runs == [False, False, True]
+    R2 = starts[2][1][3]
+    assert abs(ball.radius - 1.0684639948) < 1e-9 and ball.radius <= R2
     for p in tet:
         assert abs(distance(ball.center, p) - ball.radius) <= 1e-12
     # a geodesic from a point to itself has length 0
@@ -898,10 +965,11 @@ def test_circumball_centroid_start_root_accepted(monkeypatch):
     assert res.params == GeodesicParams(0.0, 0.0, 0.0) and res.residual == 0.0
 
 
-def test_circumball_at_most_two_newton_runs(monkeypatch):
-    # the local-frame start and the centroid start are the only ones: four
-    # of K3's domain tetrahedra and points out of geodesic reach of each
-    # other fail after them, with circumball's own error
+def test_circumball_at_most_three_newton_runs(monkeypatch):
+    # the sheared and plain local-frame starts and the centroid start are
+    # the only ones: four of K3's domain tetrahedra and points out of
+    # geodesic reach of each other fail after them, with circumball's own
+    # error
     newtons = _count_calls(monkeypatch, "_newton_circumball")
     outcomes = []
     for pts in (*domain_tetrahedra(lattice_from_params(K3)), COPLANAR,
@@ -912,7 +980,7 @@ def test_circumball_at_most_two_newton_runs(monkeypatch):
             outcomes.append(circumball(*pts).radius)
         except (DegenerateGeometryError, NoSolutionError) as exc:
             outcomes.append((type(exc), str(exc)))
-        assert 1 <= len(newtons) <= 2
+        assert 1 <= len(newtons) <= 3
     none = (NoSolutionError, "no circumscribed ball of radius <= 2*pi found")
     assert outcomes == [pytest.approx(1.88874823, abs=1e-8), none, none, none,
                         none, pytest.approx(1.90466859, abs=1e-8),
@@ -1003,6 +1071,13 @@ def test_equidistant_projection():
     for q in ((1, 1, -2), np.array((1.0, 1.0, -2.0))):
         assert equidistant_projection(q, lat) == (1.0, 1.0, 1.0)
         assert all(type(x) is float for x in equidistant_projection(q, lat))
+    # the surface has no point above an infinite or nan coordinate
+    for bad in (math.inf, -math.inf, math.nan):
+        for i in range(3):
+            q = [1.0, 1.0, -2.0]
+            q[i] = bad
+            with pytest.raises(DomainError, match="finite coordinates"):
+                equidistant_projection(q, lat)
     rng = random.Random(111)
     for basis in (UNIT, OPT):
         lat = lattice_from_params(basis)

@@ -241,12 +241,30 @@ def test_degenerate_basis_rejected():
 
 def test_generators_must_be_triples():
     # a generator that is no sequence, or one of the wrong length, is no
-    # coordinate triple, in either place
-    for bad in (5, None, (1.0, 0.0), (1.0, 0.0, 0.0, 0.0)):
+    # coordinate triple, in either place; nor is a mapping or a set of
+    # three numbers, whose keys or members have no coordinate order, nor
+    # three bytes, which unpack to character codes
+    for bad in (5, None, (1.0, 0.0), (1.0, 0.0, 0.0, 0.0),
+                {1: "a", 2: "b", 3: "c"}, {1.0: 0.0, 2.0: 0.0, 3.0: 0.0},
+                {0.0, 1.0, 2.0}, frozenset((0.0, 1.0, 2.0)), b"abc",
+                bytearray(b"abc")):
         for t1, t2 in ((bad, (0.0, 1.0, 0.0)), ((1.0, 0.0, 0.0), bad)):
             with pytest.raises(DomainError,
                                match="generators must be coordinate triples"):
                 LatticeBasis(t1, t2)
+
+
+def test_from_dict_refuses_malformed_data():
+    # data that is no mapping with keys t1 and t2, or whose generator is no
+    # triple, raises DomainError, never a bare TypeError or KeyError
+    for data in ([1, 2], None, "t1", {"t1": [1.0, 0.0, 0.0]},
+                 {"t2": [0.0, 1.0, 0.0], "k": 1}):
+        with pytest.raises(DomainError, match="mapping with keys t1 and t2"):
+            LatticeBasis.from_dict(data)
+    for t1 in (5, None, {"x": 1.0, "y": 0.0, "z": 0.0}):
+        with pytest.raises(DomainError,
+                           match="generators must be coordinate triples"):
+            LatticeBasis.from_dict({"t1": t1, "t2": [0, 1, 0]})
 
 
 def test_domain_needs_a_normalized_lattice():
