@@ -901,7 +901,8 @@ def _seeded_domain_tetrahedra(seed, n):
 
 
 def _newton_runs(monkeypatch):
-    # each _newton_circumball call as (start, found a root)
+    # the _newton_circumball calls: their arguments, and whether each
+    # found a root
     runs = []
     starts = _count_calls(monkeypatch, "_newton_circumball",
                           lambda root: runs.append(root is not None) or root)
