@@ -195,7 +195,7 @@ def circumball(p0: Point, p1: Point, p2: Point, p3: Point) -> CircumballResult:
     the points: they are left-translated so that their coordinate mean m
     sits at the origin, the Euclidean circumcenter there (_circumcentre)
     is taken as the start center and translated back by m, and the mean
-    Euclidean distance to the points as the start radius.  Both are
+    Euclidean distance to the points as the start radius R0.  Both are
     skipped when the points are coplanar, which the plain local frame
     shows: left translations are affine, so they keep planes, and the
     shear does not.
@@ -204,11 +204,16 @@ def circumball(p0: Point, p1: Point, p2: Point, p3: Point) -> CircumballResult:
        There a Nil sphere of radius R is round up to terms of order R^3,
        where in the plain frame it is round to first order only, so this
        start lies closest to the root and goes first: a hex-family corner
-       takes 4 evaluations from it, against 5 from the plain frame.
-    2. The plain local frame, tried when the sheared start finds no root.
-       It finds roots that the sheared start misses: on the domain
-       tetrahedra of seeded generic lattices about 1 in 55 (radii 1.0 to
-       5.9), none on normal-form ones.
+       takes 4 evaluations from it, against 5 from the plain frame.  Its
+       root is accepted only if its center, in that frame, lies within
+       0.4 R0 of the start: four points can lie on more than one Nil
+       sphere, and a Newton run that travels further can end on another
+       circumball than the one the plain start reaches.  (Of 9 000
+       domain tetrahedra of seeded lattices, 6 gave a root of another
+       radius from this start than from the other two, each 0.48 R0 or
+       more from its start and 5 of them larger.)
+    2. The plain local frame, tried when the first start gives no
+       accepted root.  Its root is accepted as it is.
     3. The coordinate mean m of the points, with start radius R2, the
        largest Nil distance from m to the points.  Its root is accepted only
        if its radius is at most R2: a root past R2 can belong to a larger
@@ -230,24 +235,36 @@ def circumball(p0: Point, p1: Point, p2: Point, p3: Point) -> CircumballResult:
     x2, y2, z2 = x2 - mx, y2 - my, z2 - y2 * mx + w
     x3, y3, z3 = x3 - mx, y3 - my, z3 - y3 * mx + w
     loc = (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3)
+    # the determinant of _circumcentre's plain-frame system over 8: the
+    # same products of rows half as long, so the same test, exactly
+    ax, ay, az = x1 - x0, y1 - y0, z1 - z0
+    bx, by, bz = x2 - x0, y2 - y0, z2 - z0
+    cx, cy, cz = x3 - x0, y3 - y0, z3 - z0
+    degenerate = abs(ax * (by * cz - bz * cy) + ay * (bz * cx - bx * cz)
+                     + az * (bx * cy - by * cx)) < 1.25e-13
 
     best = None
-    plain = _circumcentre(*loc)
-    degenerate = plain is None
     if not degenerate:
         sheared = _circumcentre(
             (x0, y0, z0 - 0.5 * x0 * y0), (x1, y1, z1 - 0.5 * x1 * y1),
             (x2, y2, z2 - 0.5 * x2 * y2), (x3, y3, z3 - 0.5 * x3 * y3))
-        if sheared is not None:  # back from the shear, by m_inverse
-            sheared[2] += 0.5 * sheared[0] * sheared[1]
-        for start in (sheared, plain):
-            if start is not None:
-                Cx, Cy, Cz, R0 = start
-                # translate(C, m) written out
-                best = _newton_circumball(
-                    points, [Cx + mx, Cy + my, Cz + Cy * mx + mz, R0])
-                if best is not None:
-                    break
+        if sheared is not None:
+            Sx, Sy, Sz, R0 = sheared
+            Cz = Sz + 0.5 * Sx * Sy  # back from the shear, by m_inverse
+            # translate(C, m) written out
+            root = _newton_circumball(
+                points, [Sx + mx, Sy + my, Cz + Sy * mx + mz, R0])
+            if root is not None:
+                rx, ry, rz = root[0][:3]
+                # the root's center in the sheared local frame
+                x, y = rx - mx, ry - my
+                if math.dist((x, y, rz - ry * mx + w - 0.5 * x * y),
+                             (Sx, Sy, Sz)) < 0.4 * R0:
+                    best = root
+        if best is None:
+            Cx, Cy, Cz, R0 = _circumcentre(*loc)
+            best = _newton_circumball(
+                points, [Cx + mx, Cy + my, Cz + Cy * mx + mz, R0])
     if best is None:
         try:
             R2 = max(distance_to_origin(q) for q in loc)

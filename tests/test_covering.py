@@ -912,24 +912,68 @@ def _newton_runs(monkeypatch):
 def test_circumball_start_chain_survey(monkeypatch):
     # the 240 domain tetrahedra of 40 seeded lattices, by the Newton run
     # whose root circumball returns: the sheared local-frame start finds
-    # 195 roots, the plain local-frame start 7 more and the centroid start
-    # 4; 34 have no root.  The plain and centroid starts alone find 202
-    # roots, all among these 206 with the same radii: putting the sheared
-    # start first loses none
+    # 195 roots, of which circumball accepts 162 and rejects 33 that end
+    # too far from their start; the plain local-frame start gives 37 roots
+    # and the centroid start 4; 37 have no root
+    tets = _seeded_domain_tetrahedra(0, 40)
     starts, runs = _newton_runs(monkeypatch)
-    wins = {}
-    for tet in _seeded_domain_tetrahedra(0, 40):
+    wins, radii = {}, []
+    for tet in tets:
         starts.clear()
         runs.clear()
         try:
             res = circumball(*tet)
         except NoSolutionError:
-            won = None
+            won, radius = None, None
         else:
-            won = len(runs)
+            won, radius = len(runs), res.radius
             assert runs[-1] and res.residual <= 1e-8
         wins[won] = wins.get(won, 0) + 1
-    assert wins == {1: 195, 2: 7, 3: 4, None: 34}
+        wins["rejected"] = wins.get("rejected", 0) + (runs[0] and won != 1)
+        radii.append(radius)
+    assert wins == {1: 162, 2: 37, 3: 4, None: 37, "rejected": 33}
+    # the plain and centroid starts alone, with no sheared start (its
+    # frame's _circumcentre, the first call of each ball, gives None, as
+    # for a singular system): they find 202 roots, and circumball returns
+    # each of them above with the same radius: the sheared start loses no
+    # root and changes no radius, and gains one
+    real = covering._circumcentre
+    frames = []
+
+    def plain_only(*pts):
+        frames.append(pts)
+        return None if len(frames) == 1 else real(*pts)
+
+    monkeypatch.setattr(covering, "_circumcentre", plain_only)
+    found = 0
+    for tet, radius in zip(tets, radii):
+        frames.clear()
+        try:
+            plain = circumball(*tet).radius
+        except NoSolutionError:
+            continue
+        found += 1
+        assert abs(radius - plain) <= 1e-12 * plain
+    assert found == 202
+
+
+def test_circumball_far_sheared_root_rejected(monkeypatch):
+    # a domain tetrahedron of a seeded generic lattice: the sheared start's
+    # Newton run ends 1.73 R0 from its start, on a circumball of radius
+    # 4.7264914702 through the four points.  circumball rejects it and
+    # returns the plain start's root, a ball of radius 1.5947603553
+    tet = [(1.7167900849859012, 0.0, -0.3603684327005182),
+           (-1.2004640988849304, 0.5563798027531804, -0.9301838442969248),
+           (0.0, 0.0, 0.9551873288530717),
+           (-1.2004640988849304, 0.5563798027531804, 0.02500348455614687)]
+    starts, runs = _newton_runs(monkeypatch)
+    ball = circumball(*tet)
+    assert runs == [True, True]
+    far, _ = covering._newton_circumball(*starts[0])
+    assert abs(far[3] - 4.7264914702) < 1e-9
+    assert abs(ball.radius - 1.5947603553) < 1e-9
+    for p in tet:
+        assert abs(distance(ball.center, p) - ball.radius) <= 1e-12
 
 
 def test_circumball_plain_start_root_accepted(monkeypatch):
