@@ -7,7 +7,7 @@ yields covering radii and densities.
 """
 
 from .ball import (ProfilePoint, SphereMesh, ball_volume,
-                   first_profile_critical_theta, hull_gap, is_ball_convex,
+                   first_profile_critical_theta, is_ball_convex,
                    is_m_image_convex, max_vertical_chord, mesh_to_obj,
                    sphere_mesh, sphere_point, sphere_profile)
 from .constants import (BALL_CONVEXITY_MAX_RADIUS,
@@ -49,7 +49,7 @@ __all__ = [
     "domain_tetrahedra", "domain_volume", "equidistant_projection",
     "first_profile_critical_theta", "fundamental_domain", "geodesic_between",
     "geodesic_point", "geodesic_xyz", "hex_covering_radius", "hex_density",
-    "hex_family_lattice", "hull_gap", "inverse", "is_ball_convex",
+    "hex_family_lattice", "inverse", "is_ball_convex",
     "is_m_image_convex", "lattice_from_params", "lattice_points_in_shell",
     "line_reflect_y", "lower_bound_density", "m_inverse", "m_map",
     "max_vertical_chord", "mesh_to_obj", "minimize_lower_bound",

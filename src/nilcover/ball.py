@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import BALL_CONVEXITY_MAX_RADIUS, M_IMAGE_CONVEXITY_MAX_RADIUS
 from .core import Point, m_inverse
 from .errors import _finite_number, _real_number, _whole_number
@@ -242,16 +240,3 @@ def mesh_to_obj(mesh: SphereMesh) -> str:
     for f in mesh.faces:
         lines.append("f %d %d %d" % (f[0] + 1, f[1] + 1, f[2] + 1))
     return "\n".join(lines) + "\n"
-
-
-def hull_gap(mesh: SphereMesh) -> float:
-    """Greatest depth of a mesh vertex strictly inside the Euclidean convex
-    hull of all vertices; ~0 exactly when the surface is convex."""
-    from scipy.spatial import ConvexHull
-
-    pts = np.asarray(mesh.vertices, float)
-    hull = ConvexHull(pts)
-    # hull equations give outward normals: eq . (x, 1) <= 0 inside
-    vals = pts @ hull.equations[:, :3].T + hull.equations[:, 3]
-    depth = -np.max(vals, axis=1)
-    return float(np.max(depth))

@@ -37,6 +37,17 @@ def _point(text: str):
     return point
 
 
+def _count(text: str):
+    """An int, or else a float, for a whole-number flag; the library reads
+    it by the whole-number rule, so 1e3 is 1000 and 1.5 a DomainError."""
+    for kind in (int, float):  # int first: exact, however many digits
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError("non-numeric count %r" % text)
+
+
 def _fmt(x: float) -> str:
     return "%.17g" % x
 
@@ -144,8 +155,8 @@ def build_parser() -> _Parser:
 
     sp = cmd("sphere-mesh", help="triangle mesh of the geodesic sphere")
     sp.add_argument("--radius", type=float, required=True)
-    sp.add_argument("--n-theta", type=int, default=32)
-    sp.add_argument("--n-phi", type=int, default=64)
+    sp.add_argument("--n-theta", type=_count, default=32)
+    sp.add_argument("--n-phi", type=_count, default=64)
     sp.add_argument("--m-image", action="store_true",
                     help="emit vertices in sheared coordinates")
     sp.add_argument("--out", help="write OBJ here instead of stdout")
@@ -160,9 +171,9 @@ def build_parser() -> _Parser:
     sp.add_argument("action",
                     choices=["domain", "volume", "points", "tiling-check"])
     _add_lattice_args(sp)
-    sp.add_argument("--shell", type=int, default=1,
+    sp.add_argument("--shell", type=_count, default=1,
                     help="orbit shell index for points")
-    sp.add_argument("--samples", type=int, default=1000,
+    sp.add_argument("--samples", type=_count, default=1000,
                     help="sample count for tiling-check")
 
     sp = cmd("circumball", help="ball through four points")
@@ -173,7 +184,7 @@ def build_parser() -> _Parser:
     _add_lattice_args(sp)
     sp.add_argument("--radius", type=float,
                     help="ball radius for verify (default: covering radius)")
-    sp.add_argument("--samples", type=int, default=20000)
+    sp.add_argument("--samples", type=_count, default=20000)
 
     sp = cmd("bound", help="density bound functions")
     sp.add_argument("action", choices=["f", "f1", "f2", "lower"])

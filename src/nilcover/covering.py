@@ -814,7 +814,7 @@ def lower_bound_density(rp: float) -> LowerBoundConfig:
     theta on [1e-6, pi/2 - 1e-12] (the tests check it on a grid of trial
     radii), so it has one root there, found by one Brent root bracket
     (_brent._brentq); NoSolutionError when psi(1e-6) <= 0 <= psi(pi/2 -
-    1e-12) fails.
+    1e-12) fails, as it does for every rp below about 8.8e-7.
     """
     rp = _real_number(rp, math.ulp(0.0), 0.5 * PI + 1e-12,
                       "trial radius must lie in (0, pi/2]")
@@ -824,7 +824,9 @@ def lower_bound_density(rp: float) -> LowerBoundConfig:
         return chord - area2
 
     a, b = 1e-6, 0.5 * PI - 1e-12
-    if not psi(a) <= 0.0 <= psi(b):
+    # below about 1.5e-162 rp * rp underflows to 0, and the terms would
+    # divide by sqrt(rp^2 - y0^2) = 0; such an rp has no root either
+    if rp * rp == 0.0 or not psi(a) <= 0.0 <= psi(b):
         raise NoSolutionError("consistency constraint has no root at rp=%g" % rp)
     theta = _brentq(psi, a, b, xtol=1e-14)
     chord, _, y0 = _lower_bound_terms(rp, theta)

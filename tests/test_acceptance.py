@@ -11,11 +11,13 @@ from nilcover import (IDENTITY, LatticeBasis, ball_volume, bound_f, bound_f1,
                       bound_f2, circumball, compose, covering_density,
                       distance, distance_to_origin, first_profile_critical_theta,
                       fundamental_domain, geodesic_xyz, hex_family_lattice,
-                      hull_gap, inverse, lattice_from_params,
-                      line_reflect_y, lower_bound_density, max_vertical_chord,
+                      inverse, lattice_from_params, line_reflect_y,
+                      lower_bound_density, max_vertical_chord,
                       minimize_lower_bound, optimize_hex, rotate_z,
                       sphere_mesh, sphere_profile, tiling_spot_check,
                       translate, verify_covering)
+
+from mesh_hull import hull_gap
 
 OPT = LatticeBasis(t1=(1.30633820, 0.0, 0.73894461),
                    t2=(0.65316910, 1.13132206, 1.10841692), k=1)

@@ -10,9 +10,11 @@ from scipy.optimize import minimize_scalar
 
 from nilcover import ball, covering, geodesic
 from nilcover import (DomainError, ball_volume, distance_to_origin,
-                      first_profile_critical_theta, hull_gap, is_ball_convex,
+                      first_profile_critical_theta, is_ball_convex,
                       is_m_image_convex, m_map, max_vertical_chord,
                       mesh_to_obj, sphere_mesh, sphere_point, sphere_profile)
+
+from mesh_hull import hull_gap
 
 EPS = np.finfo(float).eps
 

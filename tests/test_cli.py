@@ -309,6 +309,10 @@ def test_usage_errors_exit_one(capsys):
         main(["distance", "--from", "0,0,0", "--to", "nan,0,0"])
     assert exc.value.code == 1
     assert "non-finite coordinate" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["covering", "verify", "--lattice", OPT, "--samples", "abc"])
+    assert exc.value.code == 1
+    assert "non-numeric count" in capsys.readouterr().err
 
 
 def test_domain_error_exit_two(capsys):
@@ -326,13 +330,36 @@ def test_domain_error_exit_two(capsys):
                            "0,1,0")
     assert code == 2
     assert "coplanar" in err
-    # a 401-digit count passes argparse's int() but is no sample count
+    # a 401-digit count is read exactly but is no sample count, and
+    # neither is a fraction
     for action in (("covering", "verify", "--radius", "0.9"),
                    ("lattice", "tiling-check")):
-        code, _, err = run_cli(capsys, *action, "--lattice", "1,0,0,0,1,0",
-                               "--samples", "1" + "0" * 400)
-        assert code == 2, action
-        assert "error:" in err and "sample count" in err
+        for count in ("1" + "0" * 400, "1.5"):
+            code, _, err = run_cli(capsys, *action, "--lattice",
+                                   "1,0,0,0,1,0", "--samples", count)
+            assert code == 2, action
+            assert "error:" in err and "sample count" in err
+    code, _, err = run_cli(capsys, "sphere-mesh", "--radius", "1.0",
+                           "--n-theta", "4.5")
+    assert code == 2
+    assert "mesh resolution" in err
+
+
+def test_integral_float_counts(capsys):
+    # the count flags read an integral float as that integer, as the
+    # library does
+    code, out, _ = run_cli(capsys, "covering", "verify", "--lattice", OPT,
+                           "--radius", "0.905", "--samples", "1e3", "--json")
+    assert code == 0
+    assert json.loads(out)["samples"] == 1000
+    code, out, _ = run_cli(capsys, "sphere-mesh", "--radius", "1.0",
+                           "--n-theta", "4.0", "--n-phi", "5", "--json")
+    assert code == 0
+    assert json.loads(out)["resolution"] == [4, 5]
+    code, out, _ = run_cli(capsys, "lattice", "points", "--lattice",
+                           "1,0,0,0,1,0", "--shell", "1e0", "--json")
+    assert code == 0
+    assert json.loads(out)["count"] == 27
 
 
 def test_no_solution_exit_three(capsys):
@@ -345,6 +372,10 @@ def test_no_solution_exit_three(capsys):
                            "0,0,400")
     assert code == 3
     assert "error:" in err
+    # a trial radius so small that its square underflows has no root either
+    code, _, err = run_cli(capsys, "bound", "lower", "--radius", "1e-300")
+    assert code == 3
+    assert "no root" in err
 
 
 def test_io_error_exit_four(capsys):

@@ -1,35 +1,120 @@
-"""Importing nilcover loads no scipy module, nor do distances, circumballs,
-volumes, densities, the sampling and tiling checks, the bracketed profile
-solve and the optimisers of the hexagonal family and the lower bound, which
-neither import scipy nor try to, as if it were not installed; only hull_gap needs scipy, and it imports
-it when it runs."""
+"""nilcover runs on numpy alone.  With every scipy import refused, as if
+scipy were not installed, `import nilcover`, every public function and
+every CLI subcommand run, load no scipy module and try to import none, and
+give the results they give in a process that has scipy loaded."""
 
+import inspect
 import json
-import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import nilcover
-from nilcover import geodesic
-from nilcover import (LatticeBasis, ball_volume, covering_density,
-                      hex_density, hull_gap, lattice_from_params,
-                      lower_bound_density, minimize_lower_bound, optimize_hex,
-                      sphere_mesh)
+from nilcover import cli
 
 SRC = Path(nilcover.__file__).resolve().parents[1]
-OPT = lattice_from_params(LatticeBasis(
-    t1=(1.30633820, 0.0, 0.73894461),
-    t2=(0.65316910, 1.13132206, 1.10841692), k=1))
+
+# one call of each public function and one run of each CLI subcommand and
+# action; the script below runs them in a fresh process with scipy refused,
+# and the test runs them here, where scipy is loaded
+CALLS = """
+import contextlib, io, math
+import nilcover as nc
+from nilcover import cli
+
+OPT_ARGS = "1.30633820,0,0.73894461,0.65316910,1.13132206,1.10841692"
+
+def library_calls():
+    opt = nc.lattice_from_params(nc.LatticeBasis(
+        t1=(1.30633820, 0.0, 0.73894461),
+        t2=(0.65316910, 1.13132206, 1.10841692), k=1))
+    d = nc.fundamental_domain(opt)
+    p, q = (0.3, 0.2, 0.1), (-0.4, 0.5, 0.7)
+    calls = {
+        "ball_volume": lambda: nc.ball_volume(math.pi / 2),
+        "bound_f": lambda: nc.bound_f(2.0),
+        "bound_f1": lambda: nc.bound_f1(4.0),
+        "bound_f2": lambda: nc.bound_f2(5.0),
+        "circumball": lambda: nc.circumball(d.O, d.T1, d.T2, d.T3),
+        "commutator": lambda: nc.commutator(p, q),
+        "compose": lambda: nc.compose(p, q),
+        "covering_density": lambda: nc.covering_density(opt),
+        "covering_radius": lambda: nc.covering_radius(opt),
+        "distance": lambda: nc.distance(p, q),
+        "distance_to_origin": lambda: nc.distance_to_origin(q),
+        "domain_tetrahedra": lambda: nc.domain_tetrahedra(opt),
+        "domain_volume": lambda: nc.domain_volume(opt),
+        "equidistant_projection": lambda: nc.equidistant_projection(p, opt),
+        "first_profile_critical_theta":
+            lambda: nc.first_profile_critical_theta(4.0),
+        "fundamental_domain": lambda: nc.fundamental_domain(opt),
+        "geodesic_between": lambda: nc.geodesic_between(p, q),
+        "geodesic_point":
+            lambda: nc.geodesic_point(nc.GeodesicParams(0.3, 0.4, 1.2)),
+        "geodesic_xyz": lambda: nc.geodesic_xyz(0.3, 0.4, 1.2),
+        "hex_covering_radius": lambda: nc.hex_covering_radius(1.26),
+        "hex_density": lambda: nc.hex_density(1.26),
+        "hex_family_lattice": lambda: nc.hex_family_lattice(1.26),
+        "inverse": lambda: nc.inverse(p),
+        "is_ball_convex": lambda: nc.is_ball_convex(2.0),
+        "is_m_image_convex": lambda: nc.is_m_image_convex(2.0),
+        "lattice_from_params": lambda: nc.lattice_from_params(opt.basis),
+        "lattice_points_in_shell": lambda: nc.lattice_points_in_shell(opt, 1),
+        "line_reflect_y": lambda: nc.line_reflect_y(p),
+        "lower_bound_density": lambda: nc.lower_bound_density(0.9),
+        "m_inverse": lambda: nc.m_inverse(p),
+        "m_map": lambda: nc.m_map(p),
+        "max_vertical_chord": lambda: nc.max_vertical_chord(4.0),
+        "mesh_to_obj": lambda: nc.mesh_to_obj(nc.sphere_mesh(2.0, 4, 5)),
+        "minimize_lower_bound": nc.minimize_lower_bound,
+        "optimize_hex": nc.optimize_hex,
+        "power": lambda: nc.power(p, 3),
+        "rotate_z": lambda: nc.rotate_z(p, 0.7),
+        "sphere_mesh": lambda: nc.sphere_mesh(2.0, 8, 12, m_image=True),
+        "sphere_point": lambda: nc.sphere_point(2.0, 0.3, 0.4),
+        "sphere_profile": lambda: nc.sphere_profile(2.0, 0.3),
+        "tiling_spot_check": lambda: nc.tiling_spot_check(opt, 50, seed=3),
+        "translate": lambda: nc.translate(p, q),
+        "verify_covering": lambda: nc.verify_covering(opt, 0.9030, 2000),
+    }
+    return {name: repr(call()) for name, call in calls.items()}
+
+def cli_runs():
+    lat = ["--lattice", OPT_ARGS]
+    runs = {
+        "distance": ["--from", "0,0,0", "--to", "0.3,0.2,0.1"],
+        "geodesic": ["--from", "0,0,0", "--to", "0.3,0.2,0.1"],
+        "ball-volume": ["--radius", "1.5"],
+        "sphere-mesh": ["--radius", "2.0", "--n-theta", "4", "--n-phi", "5"],
+        "convexity": ["--radius", "4.0"],
+        "chord-max": ["--radius", "4.0"],
+        "lattice domain": lat,
+        "lattice volume": lat,
+        "lattice points": lat,
+        "lattice tiling-check": lat + ["--samples", "50"],
+        "circumball": ["0,0,0", "1,0,0", "0,1,0", "0,0,1"],
+        "covering radius": lat,
+        "covering density": lat,
+        "covering verify": lat + ["--samples", "2000"],
+        "bound f": ["--radius", "2.0"],
+        "bound f1": ["--radius", "4.0"],
+        "bound f2": ["--radius", "5.0"],
+        "bound lower": ["--radius", "0.9"],
+        "optimize hex": [],
+        "optimize lower": [],
+        "constants": [],
+    }
+    out = {}
+    for command, args in runs.items():
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            code = cli.main(command.split() + args + ["--json"])
+        out[command] = [code, text.getvalue()]
+    return out
+"""
 
 SCRIPT = """
-import json, math, sys
-import nilcover as nc
-from nilcover import geodesic
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import json, sys
 
 class NoScipy(list):
     # as if scipy were not installed, noting each attempt to import it
@@ -38,41 +123,30 @@ class NoScipy(list):
             self.append(name)
             raise ModuleNotFoundError(name)
 
-loaded = {"import": scipy_modules()}
 blocked = NoScipy()
 sys.meta_path.insert(0, blocked)
-opt = nc.lattice_from_params(nc.LatticeBasis(
-    t1=(1.30633820, 0.0, 0.73894461),
-    t2=(0.65316910, 1.13132206, 1.10841692), k=1))
-d = nc.fundamental_domain(opt)
-nc.distance((0.0, 0.0, 0.0), (0.3, 0.2, 0.1))
-nc.circumball(d.O, d.T1, d.T2, d.T3)
-R = nc.covering_radius(opt)
-assert nc.verify_covering(opt, R * (1 + 1e-6), 2000)
-assert nc.tiling_spot_check(opt, samples=50, seed=3).ok
-volume = nc.ball_volume(math.pi / 2)
-density = nc.covering_density(opt).density
-hex_density = nc.hex_density(1.26).density
-hex_optimum = nc.optimize_hex()
-lower_bound = nc.minimize_lower_bound()
-bound_config = nc.lower_bound_density(0.9)
-bracket = geodesic._bracket_profile(1.3, 2.1)
-sys.meta_path.remove(blocked)
-loaded["no-scipy calls"] = scipy_modules() + blocked
-gap = nc.hull_gap(nc.sphere_mesh(2.0, 8, 12))
-loaded["hull_gap"] = "scipy.spatial" in sys.modules
-print(json.dumps({
-    "loaded": loaded,
-    "ball_volume": repr(volume),
-    "density": repr(density),
-    "hex_density": repr(hex_density),
-    "hex_optimum": repr(hex_optimum),
-    "lower_bound": repr(lower_bound),
-    "bound_config": repr(bound_config),
-    "bracket": repr(bracket),
-    "hull_gap": repr(gap),
-}))
+""" + CALLS + """
+results = {"calls": library_calls(), "cli": cli_runs()}
+results["loaded"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+results["blocked"] = blocked
+print(json.dumps(results))
 """
+
+
+def _functions():
+    return {name for name in nilcover.__all__
+            if inspect.isfunction(getattr(nilcover, name))}
+
+
+def _commands():
+    """Every subcommand, and every subcommand with each of its actions."""
+    sub = cli.build_parser()._subparsers._group_actions[0]
+    commands = set()
+    for name, parser in sub.choices.items():
+        actions = [a.choices for a in parser._actions if a.dest == "action"]
+        commands.update(["%s %s" % (name, act) for act in actions[0]]
+                        if actions else [name])
+    return commands
 
 
 def test_import_and_scipy_free_calls_load_no_scipy():
@@ -83,16 +157,13 @@ def test_import_and_scipy_free_calls_load_no_scipy():
                          capture_output=True, text=True, check=True,
                          timeout=120)
     got = json.loads(out.stdout)
-    assert got["loaded"] == {"import": [], "no-scipy calls": [],
-                             "hull_gap": True}
-    # the scipy-free calls give the values they give in a process that has
-    # scipy loaded already, and so does hull_gap
-    assert float(got["ball_volume"]) == ball_volume(math.pi / 2)
-    assert abs(float(got["ball_volume"]) - 16.8947493237242) < 1e-9
-    assert float(got["density"]) == covering_density(OPT).density
-    assert float(got["hex_density"]) == hex_density(1.26).density
-    assert got["hex_optimum"] == repr(optimize_hex())
-    assert got["lower_bound"] == repr(minimize_lower_bound())
-    assert got["bound_config"] == repr(lower_bound_density(0.9))
-    assert got["bracket"] == repr(geodesic._bracket_profile(1.3, 2.1))
-    assert float(got["hull_gap"]) == hull_gap(sphere_mesh(2.0, 8, 12))
+    assert got["loaded"] == [] and got["blocked"] == []
+    assert set(got["calls"]) == _functions()
+    assert set(got["cli"]) == _commands()
+    assert all(code == 0 for code, _ in got["cli"].values()), got["cli"]
+    # the same values in a process that has scipy loaded
+    import scipy.optimize  # noqa: F401
+    here = {}
+    exec(CALLS, here)
+    assert got["calls"] == here["library_calls"]()
+    assert got["cli"] == here["cli_runs"]()

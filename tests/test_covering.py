@@ -1192,6 +1192,11 @@ def test_lower_bound_config():
         lower_bound_density(0.0)
     with pytest.raises(DomainError):
         lower_bound_density(math.pi / 2 + 0.1)
+    # psi(1e-6) > 0 below about 8.8e-7; past about 1.5e-162 rp * rp
+    # underflows to 0, where the terms would divide by 0
+    for rp in (1e-7, 1e-160, 2e-162, 1e-162, 1e-300, math.ulp(0.0)):
+        with pytest.raises(NoSolutionError, match="no root"):
+            lower_bound_density(rp)
 
 
 def test_lower_bound_constraint_increasing():
