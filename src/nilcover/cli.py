@@ -37,17 +37,6 @@ def _point(text: str):
     return point
 
 
-def _count(text: str):
-    """An int, or else a float, for a whole-number flag; the library reads
-    it by the whole-number rule, so 1e3 is 1000 and 1.5 a DomainError."""
-    for kind in (int, float):  # int first: exact, however many digits
-        try:
-            return kind(text)
-        except ValueError:
-            pass
-    raise argparse.ArgumentTypeError("non-numeric count %r" % text)
-
-
 def _fmt(x: float) -> str:
     return "%.17g" % x
 
@@ -155,8 +144,10 @@ def build_parser() -> _Parser:
 
     sp = cmd("sphere-mesh", help="triangle mesh of the geodesic sphere")
     sp.add_argument("--radius", type=float, required=True)
-    sp.add_argument("--n-theta", type=_count, default=32)
-    sp.add_argument("--n-phi", type=_count, default=64)
+    # counts are read as numbers and checked by the library's whole-number
+    # rule: 1e3 is 1000, and 1.5 or a 401-digit count (inf) a DomainError
+    sp.add_argument("--n-theta", type=float, default=32)
+    sp.add_argument("--n-phi", type=float, default=64)
     sp.add_argument("--m-image", action="store_true",
                     help="emit vertices in sheared coordinates")
     sp.add_argument("--out", help="write OBJ here instead of stdout")
@@ -171,9 +162,9 @@ def build_parser() -> _Parser:
     sp.add_argument("action",
                     choices=["domain", "volume", "points", "tiling-check"])
     _add_lattice_args(sp)
-    sp.add_argument("--shell", type=_count, default=1,
+    sp.add_argument("--shell", type=float, default=1,
                     help="orbit shell index for points")
-    sp.add_argument("--samples", type=_count, default=1000,
+    sp.add_argument("--samples", type=float, default=1000,
                     help="sample count for tiling-check")
 
     sp = cmd("circumball", help="ball through four points")
@@ -184,7 +175,7 @@ def build_parser() -> _Parser:
     _add_lattice_args(sp)
     sp.add_argument("--radius", type=float,
                     help="ball radius for verify (default: covering radius)")
-    sp.add_argument("--samples", type=_count, default=20000)
+    sp.add_argument("--samples", type=float, default=20000)
 
     sp = cmd("bound", help="density bound functions")
     sp.add_argument("action", choices=["f", "f1", "f2", "lower"])
@@ -255,7 +246,7 @@ def run(args) -> str:
                            args.json)
         if args.action == "points":
             pts = lattice.lattice_points_in_shell(lat, args.shell)
-            return _render({"shell": args.shell, "count": len(pts),
+            return _render({"shell": int(args.shell), "count": len(pts),
                             "points": [list(p) for p in pts]}, args.json)
         rep = lattice.tiling_spot_check(lat, args.samples)
         return _render({"samples": rep.samples, "gaps": rep.gaps,

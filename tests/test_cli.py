@@ -312,7 +312,7 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["covering", "verify", "--lattice", OPT, "--samples", "abc"])
     assert exc.value.code == 1
-    assert "non-numeric count" in capsys.readouterr().err
+    assert "invalid float value" in capsys.readouterr().err
 
 
 def test_domain_error_exit_two(capsys):
@@ -330,8 +330,8 @@ def test_domain_error_exit_two(capsys):
                            "0,1,0")
     assert code == 2
     assert "coplanar" in err
-    # a 401-digit count is read exactly but is no sample count, and
-    # neither is a fraction
+    # a 401-digit count reads as inf and is no sample count, and neither
+    # is a fraction
     for action in (("covering", "verify", "--radius", "0.9"),
                    ("lattice", "tiling-check")):
         for count in ("1" + "0" * 400, "1.5"):

@@ -1,7 +1,8 @@
 """nilcover runs on numpy alone.  With every scipy import refused, as if
 scipy were not installed, `import nilcover`, every public function and
-every CLI subcommand run, load no scipy module and try to import none, and
-give the results they give in a process that has scipy loaded."""
+every CLI subcommand run, and so does the bracketed profile fallback of
+distances; they load no scipy module, try to import none, and give the
+results they give in a process that has scipy loaded."""
 
 import inspect
 import json
@@ -15,13 +16,13 @@ from nilcover import cli
 
 SRC = Path(nilcover.__file__).resolve().parents[1]
 
-# one call of each public function and one run of each CLI subcommand and
-# action; the script below runs them in a fresh process with scipy refused,
+# one call of each public function and of the profile fallback, and one
+# run of each CLI subcommand and action; the script below runs them in a fresh process with scipy refused,
 # and the test runs them here, where scipy is loaded
 CALLS = """
 import contextlib, io, math
 import nilcover as nc
-from nilcover import cli
+from nilcover import cli, geodesic
 
 OPT_ARGS = "1.30633820,0,0.73894461,0.65316910,1.13132206,1.10841692"
 
@@ -80,6 +81,11 @@ def library_calls():
     }
     return {name: repr(call()) for name, call in calls.items()}
 
+def private_calls():
+    # the bracketed profile fallback of distances, which no public call
+    # above is known to reach
+    return {"_bracket_profile": repr(geodesic._bracket_profile(1.3, 2.1))}
+
 def cli_runs():
     lat = ["--lattice", OPT_ARGS]
     runs = {
@@ -126,7 +132,8 @@ class NoScipy(list):
 blocked = NoScipy()
 sys.meta_path.insert(0, blocked)
 """ + CALLS + """
-results = {"calls": library_calls(), "cli": cli_runs()}
+results = {"calls": library_calls(), "private": private_calls(),
+           "cli": cli_runs()}
 results["loaded"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 results["blocked"] = blocked
 print(json.dumps(results))
@@ -166,4 +173,5 @@ def test_import_and_scipy_free_calls_load_no_scipy():
     here = {}
     exec(CALLS, here)
     assert got["calls"] == here["library_calls"]()
+    assert got["private"] == here["private_calls"]()
     assert got["cli"] == here["cli_runs"]()
