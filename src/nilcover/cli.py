@@ -2,7 +2,8 @@
 
 Every library computation is reachable as a subcommand; numbers print with
 17 significant digits so results round-trip exactly.  Exit codes: 0 ok,
-1 usage, 2 domain error, 3 no solution, 4 I/O error.
+1 usage, 2 domain error, 3 no solution, 4 I/O error (a reader that closes
+the output pipe early ends the run quietly with 4).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import ball, constants, covering, geodesic, lattice
@@ -165,7 +167,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--shell", type=float, default=1,
                     help="orbit shell index for points")
     sp.add_argument("--samples", type=float, default=1000,
-                    help="sample count for tiling-check")
+                    help="sample count tiling-check reports; its check is exact")
 
     sp = cmd("circumball", help="ball through four points")
     sp.add_argument("points", type=_point, nargs=4, metavar="X,Y,Z")
@@ -249,9 +251,7 @@ def run(args) -> str:
             return _render({"shell": int(args.shell), "count": len(pts),
                             "points": [list(p) for p in pts]}, args.json)
         rep = lattice.tiling_spot_check(lat, args.samples)
-        return _render({"samples": rep.samples, "gaps": rep.gaps,
-                        "overlaps": rep.overlaps,
-                        "violations": rep.violations, "ok": rep.ok},
+        return _render(dict(vars(rep), violations=rep.violations, ok=rep.ok),
                        args.json)
 
     if args.command == "circumball":
@@ -319,17 +319,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        out = run(args)
+        print(run(args), flush=True)
     except (DomainError, DegenerateLatticeError, DegenerateGeometryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except NoSolutionError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed the pipe early, as `| head` does: point stdout
+        # at devnull, as the Python docs advise, so that the interpreter's
+        # last flush does not fail again, and exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 4
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 4
-    print(out)
     return 0
 
 

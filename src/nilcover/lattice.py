@@ -2,10 +2,21 @@
 
 A lattice is generated by two translations whose horizontal projections are
 independent; their commutator is a vertical translation, and taking its k-th
-root as a third generator tau3 closes the group.  The fundamental domain is
-the parallelepiped {a*t1 + b*t2 + c*tau3 : a, b, c in [0, 1]} as vectors, a
-skew solid with vertical sides cut into six tetrahedra.  It tiles the space
-under the lattice action for every k (tiling_spot_check samples this).
+root as a third generator tau3 closes the group.  In lattice coordinates
+(u, v, h), with p = u*t1 + v*t2 + h*tau3 as vectors, the fundamental domain
+is the unit cube for every k: a skew solid with vertical sides, cut into six
+tetrahedra.
+
+Its lattice translates tile the space, for every lattice and every k.  A
+translation maps each vertical line to a vertical line and moves every
+height on it by one amount: translate(p, t) adds p_y*t_x + t_z to p_z.  A
+point (X, Y) of the plane off the edges lies in exactly one translate of the
+projected parallelogram, by some tau1^a tau2^b.  That word maps the solid's
+column over the preimage of (X, Y), an interval one tau3 high, into the
+vertical line over (X, Y), and as tau3 is central, the translates of that
+interval by the words tau3^c cover the line once.  So the translates tile
+as soon as the solid's corners are the cube's, and tiling_spot_check checks
+exactly that.
 """
 
 from __future__ import annotations
@@ -23,9 +34,6 @@ from .errors import (DegenerateLatticeError, DomainError, _finite_number,
 _DEGENERATE_TOL = 1e-12
 # largest shell index: the words are enumerated up front, (2n+1)^3 of them
 _MAX_SHELL = 50
-# point-word pairs tested at once by the tiling check: memory stays
-# bounded at any sample count
-_TILING_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -61,10 +69,12 @@ class LatticeBasis:
     def from_dict(cls, data: Mapping) -> "LatticeBasis":
         """The basis of to_dict's mapping: generators t1 and t2 and an
         optional k (1 if absent), read as the constructor reads them.
-        Data that is no mapping with keys t1 and t2 raises DomainError."""
-        if not (isinstance(data, Mapping) and "t1" in data and "t2" in data):
+        Data that is no mapping with keys t1 and t2 raises DomainError, and
+        so does any other key, lest a misspelt k ("K") be read as k = 1."""
+        if not (isinstance(data, Mapping)
+                and {"t1", "t2"} <= data.keys() <= {"t1", "t2", "k"}):
             raise DomainError("a lattice basis is a mapping with keys t1 and "
-                              "t2, and optionally k")
+                              "t2, optionally k, and no other key")
         return cls(data["t1"], data["t2"], data.get("k", 1))
 
 
@@ -139,8 +149,8 @@ def fundamental_domain(lattice: Lattice) -> FundamentalDomain:
     vectors, the eight vertices of the six tetrahedra are the corners of
     the unit cube for every k, and T213 lies at (1, 1, 2).  T21 = T12 tau3
     is one step of tau3 above T12; the label is that of k = 1, the only k
-    where it equals tau2 tau1 (tau2 tau1 = tau1 tau2 tau3^k).  The tiling
-    check takes its solid from here (_tiling_table).
+    where it equals tau2 tau1 (tau2 tau1 = tau1 tau2 tau3^k).
+    tiling_spot_check checks these vertices against the cube's corners.
     """
     (t11, _, t13), (t21, t22, t23) = lattice.t1, lattice.t2
     vk = lattice.tau3[2]
@@ -230,134 +240,46 @@ class TilingReport:
         return self.violations == 0
 
 
-def _translated_coordinates(lattice: Lattice, u, v, h, a, b) -> tuple:
-    """Lattice coordinates of translate(p, inverse(tau1^a tau2^b)), given
-    p's lattice coordinates (u, v, h) (see tiling_spot_check).
-
-    The projection moves by (-a, -b).  The height drops by the group law's
-    fibre terms, x*y + b(b - 1)/2 * t21*t22 over tau, where x = a*t11 +
-    b*t21 is the word's x and y = v*t22 the new point's y; t1 lies on the
-    x-axis, as lattice_from_params puts it.  Works elementwise on
-    broadcasting arrays.
-    """
-    (t11, _, _), (t21, t22, _), tau = lattice.t1, lattice.t2, lattice.tau3[2]
-    u, v = u - a, v - b
-    return u, v, h - ((a * t11 + b * t21) * v * (t22 / tau)
-                      + b * (b - 1.0) * (0.5 * t21 * t22 / tau))
-
-
-def _lattice_coordinates(lattice: Lattice, x, y, z) -> tuple:
-    """Lattice coordinates (u, v, h) of the point (x, y, z), that is
-    (x, y, z) = u*t1 + v*t2 + h*tau3 as vectors (see tiling_spot_check).
-
-    A closed form: t1 lies on the x-axis, as lattice_from_params puts it,
-    so y fixes v, then x fixes u and z fixes h.  Works elementwise on
-    broadcasting arrays.
-    """
-    (t11, _, t13), (t21, t22, t23), tau = lattice.t1, lattice.t2, lattice.tau3[2]
-    v = y / t22
-    u = (x - v * t21) / t11
-    return u, v, (z - u * t13 - v * t23) / tau
-
-
-def _tiling_table() -> np.ndarray:
-    """The barycentric maps of the tiling check's six tetrahedra.
-
-    In lattice coordinates the solid is the same for every lattice (see
-    fundamental_domain), so its tetrahedra are those of the unit lattice,
-    whose coordinates are the lattice coordinates themselves, small
-    integers.  The maps act on the homogeneous lattice coordinates
-    (1, u, v, h) as one read-only (24, 4) array; rows by barycentric
-    coordinate, then tetrahedron.
-    """
-    homog = np.ones((6, 4, 4))
-    homog[..., 1:] = domain_tetrahedra(lattice_from_params(
-        LatticeBasis((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))))
-    bary = np.linalg.inv(homog).transpose(2, 0, 1).reshape(24, 4)
-    bary.setflags(write=False)
-    return bary
-
-
-_TILING_BARY = _tiling_table()
+# the lattice coordinates (u, v, h) of the solid's vertices: the unit cube's
+# corners, and T213 one step of tau3 above T21
+_CUBE_CORNERS = dict(O=(0, 0, 0), T1=(1, 0, 0), T2=(0, 1, 0), T3=(0, 0, 1),
+                     T12=(1, 1, 0), T13=(1, 0, 1), T21=(1, 1, 1),
+                     T23=(0, 1, 1), T213=(1, 1, 2))
 
 
 def tiling_spot_check(lattice: Lattice, samples: int = 1000,
                       seed: int = 0) -> TilingReport:
-    """Sample the domain's bounding box and count how many lattice translates
-    of the fundamental solid contain each point.
+    """Check exactly that the lattice translates of the fundamental solid
+    tile the space.
 
-    A correct tiling gives exactly one containing translate almost surely;
-    a gap (none) or an overlap (two or more interiors) is a violation.
-    Boundary grazing is excluded by an eps band: a point is loosely in a
-    tetrahedron when its four barycentric coordinates are all at least
-    -eps, and strictly in it when they are all at least eps.
+    By the column argument of the module docstring they do once the solid
+    is the unit cube in lattice coordinates.  So each of
+    fundamental_domain's nine vertices must equal u*t1 + v*t2 + h*tau3 as
+    vectors, for its corner (u, v, h) of the cube, and (1, 1, 2) for T213.
+    Each coordinate may differ by at most 1e-12 * (|t1|_1 + |t2|_1 +
+    2*|tau3|), a few roundings of the sums that build the vertices.  The
+    six tetrahedra of DOMAIN_TETRAHEDRA are a constant; the tests check
+    that they fill the cube.
 
-    The samples are uniform draws of numpy's default generator seeded
-    with seed, a nonnegative integer; like the sample count, it may be
-    given as an integral float.  They are drawn and tested _TILING_CHUNK
-    point-word pairs at a time, so memory stays bounded at any count.
+    The counts are all or nothing.  When every vertex matches, every point
+    lies in exactly one translate: TilingReport(samples, 0, 0).  When one
+    is off, the check cannot tell which points the solid misses or holds
+    twice, so it counts every sample as a gap: TilingReport(samples,
+    samples, 0), which is not ok.
 
-    Each point is tested only against the translates that can hold it, so
-    the counts equal those of a sweep over all lattice words: there is no
-    shell cap.  The point p lies in the translate by w = tau1^a tau2^b
-    tau3^c when its local point translate(p, inverse(w)) lies in the solid.
-    Take lattice coordinates (u, v, h), with p = u*t1 + v*t2 + h*tau3 as
-    vectors: (u, v) is the projection in the (t1, t2) basis and h the
-    height above the plane of the bottom face O T1 T2 T12, in units of
-    tau3.  The local point has (u, v) = (U - a, V - b), where (U, V) is p's,
-    and since tau3 is central, c lowers its height by exactly c.
-
-    In these coordinates the solid is the same for every lattice: the unit
-    cube, cut into the six tetrahedra (see fundamental_domain).  So their
-    barycentric maps are built once, at import (_tiling_table), and each
-    call only maps its samples to lattice coordinates, in closed form.
-
-    A point of a tetrahedron inflated by eps is an affine combination of
-    its vertices with weights of at least -eps, at most three of them
-    negative, so each lattice coordinate stays within 3*eps of the
-    vertices' range [0, 1] of that coordinate, h included.  So for a
-    margin delta >= 3*eps, the exponents
-
-        n = floor(q + delta) - j,   j = 0, 1
-
-    with q = U for a, q = V for b, and q = the local height of tau1^a tau2^b
-    for c, include every word whose inflated translate contains p: two
-    values each of a, b and c, where all but one of each only serve points
-    within delta of a cell's face.  delta = 1e-6 leaves a thousand times
-    eps for rounding.  Both counts are therefore exact.
+    samples and seed do not change the result.  They remain, and are
+    checked by the whole-number rule (a positive and a nonnegative integer,
+    or an integral float), because callers pass them: the CLI's --samples
+    and the benchmark's tiling workload, which checks that each call
+    reports its sample count.
     """
     samples = _whole_number(samples, 1, math.inf,
                             "sample count must be a positive integer")
-    seed = _whole_number(seed, 0, math.inf,
-                         "seed must be a nonnegative integer")
-    # the margin -delta and the steps j of the docstring, alike for u, v, h
-    start, steps = -1e-6, np.array([0.0, 1.0])
-    # the tetrahedra's bounding box: T213, the last vertex, which they do not
-    # use, lies above
-    corners = np.array(list(vars(fundamental_domain(lattice)).values())[:8])
-    lo, hi = corners.min(axis=0), corners.max(axis=0)
-    rng = np.random.default_rng(seed)
-
-    chunk = _TILING_CHUNK // 8  # eight candidate words per point
-    eps = 1e-9
-    bands = np.array([-eps, eps])[:, None, None]
-    gaps = overlaps = 0
-    for first in range(0, samples, chunk):
-        # drawn a chunk at a time: the same stream as one draw of them all
-        pts = lo + (hi - lo) * rng.random((min(chunk, samples - first), 3))
-        u, v, h = _lattice_coordinates(lattice, *pts.T[:, :, None, None])
-        a = np.floor(u - start) - steps[:, None]
-        b = np.floor(v - start) - steps
-        u, v, h = _translated_coordinates(lattice, u, v, h, a, b)
-        h = h[..., None] - (np.floor(h - start)[..., None] - steps)
-        # axes (coordinate, point, a, b, c)
-        local = np.ones((4,) + h.shape)
-        local[1], local[2], local[3] = u[..., None], v[..., None], h
-        # depth: the least barycentric coordinate in the tetrahedron where
-        # it is largest, one per point and word
-        depth = (_TILING_BARY @ local.reshape(4, -1)).reshape(4, 6, -1).min(
-            axis=0).max(axis=0)
-        loose, strict = (depth.reshape(len(h), -1) >= bands).sum(axis=2)
-        gaps += int(np.count_nonzero(loose < 1))
-        overlaps += int(np.count_nonzero(strict > 1))
-    return TilingReport(samples=samples, gaps=gaps, overlaps=overlaps)
+    _whole_number(seed, 0, math.inf, "seed must be a nonnegative integer")
+    t1, t2, tau3 = lattice.t1, lattice.t2, lattice.tau3
+    tol = 1e-12 * (sum(map(abs, t1 + t2)) + 2.0 * tau3[2])
+    vertices = fundamental_domain(lattice).as_dict()
+    exact = all(abs(x - (u * a + v * b + h * c)) <= tol
+                for label, (u, v, h) in _CUBE_CORNERS.items()
+                for x, a, b, c in zip(vertices[label], t1, t2, tau3))
+    return TilingReport(samples, 0 if exact else samples, 0)

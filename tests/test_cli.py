@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from nilcover.cli import main
 
 OPT = "1.30633820,0,0.73894461,0.65316910,1.13132206,1.10841692"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +135,8 @@ def test_lattice_tiling_check(capsys):
                            "1,0,0,0,1,0", "--samples", "120", "--json")
     assert code == 0
     data = json.loads(out)
+    assert list(data) == ["samples", "gaps", "overlaps", "violations", "ok"]
+    assert data["samples"] == 120
     assert data["gaps"] == 0 and data["overlaps"] == 0
     assert data["ok"] is True
 
@@ -160,9 +167,11 @@ def test_lattice_file(tmp_path, capsys):
 def test_lattice_file_is_json_only(tmp_path, capsys):
     f = tmp_path / "lat.csv"
     # CSV is no lattice file, nor is a file that is not UTF-8, nor JSON
-    # that is no mapping of two generator triples
+    # that is no mapping of two generator triples, nor one with a key other
+    # than t1, t2 and k: a misspelt k is not read as k = 1
     for content in (b"1,0,0,0,1,0\n", b"\xff\xfe\x00{\x00", b"[1, 2]",
-                    b'{"t1": [1, 0, 0]}', b'{"t1": 5, "t2": [0, 1, 0]}'):
+                    b'{"t1": [1, 0, 0]}', b'{"t1": 5, "t2": [0, 1, 0]}',
+                    b'{"t1": [1, 0, 0], "t2": [0, 1, 0], "K": 2}'):
         f.write_bytes(content)
         code, _, err = run_cli(capsys, "lattice", "volume", "--lattice-file",
                                str(f))
@@ -383,3 +392,24 @@ def test_io_error_exit_four(capsys):
                            "--lattice-file", "/nonexistent/lat.json")
     assert code == 4
     assert "error:" in err
+
+
+def test_closed_pipe_exits_quietly():
+    # a reader that stops early, as `| head -c 40` does, ends the run with
+    # the I/O code and nothing on stderr, no traceback
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nilcover.cli", "lattice", "points",
+         "--lattice", "1,0,0,0,1,0", "--shell", "20", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.read(40).startswith(b'{"shell": 20')
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 4
+    assert err == b""

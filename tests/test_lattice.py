@@ -1,5 +1,6 @@
 """Lattices, fundamental domains, tilings."""
 
+import dataclasses
 import gc
 import math
 import random
@@ -255,10 +256,12 @@ def test_generators_must_be_triples():
 
 
 def test_from_dict_refuses_malformed_data():
-    # data that is no mapping with keys t1 and t2, or whose generator is no
-    # triple, raises DomainError, never a bare TypeError or KeyError
+    # data that is no mapping with keys t1 and t2, or that has another key
+    # than those and k, or whose generator is no triple, raises DomainError,
+    # never a bare TypeError or KeyError
     for data in ([1, 2], None, "t1", {"t1": [1.0, 0.0, 0.0]},
-                 {"t2": [0.0, 1.0, 0.0], "k": 1}):
+                 {"t2": [0.0, 1.0, 0.0], "k": 1},
+                 {"t1": [1.0, 0.0, 0.0], "t2": [0.0, 1.0, 0.0], "K": 2}):
         with pytest.raises(DomainError, match="mapping with keys t1 and t2"):
             LatticeBasis.from_dict(data)
     for t1 in (5, None, {"x": 1.0, "y": 0.0, "z": 0.0}):
@@ -289,7 +292,8 @@ def test_tiling_spot_checks():
 
 
 def tiling_by_point_loop(lat, samples, seed, shell=3):
-    """Reference spot check: one point, word and tetrahedron at a time."""
+    """Reference spot check: one point and tetrahedron at a time, against
+    the translates by every word of the shell."""
     tets = domain_tetrahedra(lat)
     frames = []
     for tet in tets:
@@ -310,12 +314,12 @@ def tiling_by_point_loop(lat, samples, seed, shell=3):
     # a local point outside the solid's bounding box, widened by far more
     # than the eps band inflates a tetrahedron, lies in none of them
     pad = 1e-6 * (hi - lo)
-    box = list(zip((lo - pad).tolist(), (hi + pad).tolist()))
-    inv_words = [inverse(w) for w in lattice_points_in_shell(lat, shell)]
+    box_lo, box_hi = (lo - pad)[:, None], (hi + pad)[:, None]
+    inv_words = inverse(tuple(lattice._shell_words(lat, shell)))
     gaps = overlaps = 0
     for p in pts:
-        local = [q for q in (translate(tuple(p), w) for w in inv_words)
-                 if all(l <= x <= h for x, (l, h) in zip(q, box))]
+        q = np.array(translate(tuple(p), inv_words))
+        local = q[:, ((box_lo <= q) & (q <= box_hi)).all(axis=0)].T
         if sum(in_any_tet(q, 1e-9) for q in local) < 1:
             gaps += 1
         if sum(in_any_tet(q, -1e-9) for q in local) > 1:
@@ -342,58 +346,55 @@ def test_tiling_seed_domain():
 
 
 def leaky_solid(monkeypatch):
-    """Patch the solid, for the tiling check and domain_tetrahedra alike:
-    its third tetrahedron becomes a copy of the second, so each cell keeps
-    a gap of a sixth of its volume and the checks count non-zero gaps."""
+    """Patch the solid's tetrahedra, for domain_tetrahedra and so for the
+    point loop: the third becomes a copy of the second, so each cell keeps
+    a gap of a sixth of its volume."""
     tets = lattice.DOMAIN_TETRAHEDRA
     monkeypatch.setattr(lattice, "DOMAIN_TETRAHEDRA",
                         tets[:2] + tets[1:2] + tets[3:])
-    monkeypatch.setattr(lattice, "_TILING_BARY", lattice._tiling_table())
 
 
-def test_tiling_draws_one_chunk_at_a_time(monkeypatch):
-    # samples are drawn a chunk at a time, so no draw is larger than one
-    # chunk, and the reports equal those of one draw of every sample; the
-    # leaky solid makes them count gaps
-    leaky_solid(monkeypatch)
-    for basis in (OPT, K2):
-        lat = lattice_from_params(basis)
-        with monkeypatch.context() as m:
-            m.setattr(lattice, "_TILING_CHUNK", 10 ** 9)
-            whole = [tiling_spot_check(lat, n, 7) for n in (1, 700, 2000)]
-        draws = []
-        default_rng = np.random.default_rng
-
-        class Spy:
-            def __init__(self, seed):
-                self.rng = default_rng(seed)
-
-            def random(self, size):
-                draws.append(size[0])
-                return self.rng.random(size)
-
-        with monkeypatch.context() as m:
-            m.setattr(np.random, "default_rng", Spy)
-            assert [tiling_spot_check(lat, n, 7)
-                    for n in (1, 700, 2000)] == whole
-        # two candidate exponents each of a, b and c, for every k
-        assert max(draws) == lattice._TILING_CHUNK // 8
-        assert sum(draws) == 2701
-        assert whole[2].gaps > 0
-
-
-def test_tiling_matches_point_loop(monkeypatch):
+def test_tiling_matches_point_loop():
     # shell 5 holds every translate these samples can lie in: shells 3 to 6
     # agree
     for basis, seed in ((OPT, 3), (K2, 0)):
         lat = lattice_from_params(basis)
         rep = tiling_spot_check(lat, 25, seed)
         assert rep == tiling_by_point_loop(lat, 25, seed, shell=5)
-    # the leaky solid makes the comparison cover non-zero counts
+
+
+def test_domain_tetrahedra_fill_the_cube(monkeypatch):
+    # the exact check trusts DOMAIN_TETRAHEDRA to fill the cube whose
+    # corners it checks: on the unit lattice the point loop finds every
+    # sample in exactly one translate of them, and gaps once one of them is
+    # lost
+    unit = lattice_from_params(UNIT)
+    assert tiling_by_point_loop(unit, 60, 2) == TilingReport(60, 0, 0)
     leaky_solid(monkeypatch)
-    rep = tiling_spot_check(lat, 25, 0)
-    assert rep == tiling_by_point_loop(lat, 25, 0, shell=5)
-    assert rep.gaps > 0
+    assert tiling_by_point_loop(unit, 60, 2).gaps > 0
+
+
+def solid_k_steps_high(lat):
+    """The solid with T21 a whole commutator, k steps of tau3, above T12,
+    and T213 one step above that: it tiles at k = 1 only."""
+    (t11, _, t13), (t21, t22, t23) = lat.t1, lat.t2
+    top = lat.fibre + t13 + t23
+    return dataclasses.replace(
+        fundamental_domain(lat), T21=(t11 + t21, t22, top),
+        T213=(t11 + t21, t22, top + lat.tau3[2]))
+
+
+def test_tiling_check_finds_a_solid_k_steps_high(monkeypatch):
+    # the check reads the vertices that fundamental_domain builds, so a
+    # solid that overlaps its translates at k >= 2 fails it, as it fails
+    # the point loop, whose tetrahedra come from there too
+    monkeypatch.setattr(lattice, "fundamental_domain", solid_k_steps_high)
+    for basis in (K2, normal_form(1.3, 0.2, 0.9, 3)):
+        lat = lattice_from_params(basis)
+        assert tiling_spot_check(lat, 25) == TilingReport(25, 25, 0)
+        assert tiling_by_point_loop(lat, 25, 0).violations > 0
+    # at k = 1 the solid is the cube's
+    assert tiling_spot_check(lattice_from_params(OPT)).ok
 
 
 def normal_form(t11, a, b, k):
@@ -448,55 +449,41 @@ def seeded_lattices():
     return lats
 
 
-def test_lattice_coordinates_match_inverse_basis():
-    # the tiling check's closed-form coordinate map equals the inverse of
-    # the generator matrix, on rotated and swapped bases alike
-    rng = np.random.default_rng(11)
-    for lat in seeded_lattices() + [lattice_from_params(OPT)]:
-        p = rng.uniform(-3.0, 3.0, (50, 3))
-        want = p @ np.linalg.inv([lat.t1, lat.t2, lat.tau3])
-        got = np.array(lattice._lattice_coordinates(lat, *p.T)).T
-        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
-
-
 def test_tiling_table_matches_fundamental_domain():
     # in lattice coordinates every lattice's solid is that of the unit
     # lattice, whatever k is: the unit cube, with T213 at (1, 1, 2).  The
-    # unit lattice's own coordinates are exact.  The table's barycentric
-    # maps take each tetrahedron's vertices to the unit vectors
+    # tiling check's corner table says so, and the unit lattice's vertices
+    # are those coordinates exactly.  The inverse of the generator matrix
+    # maps every lattice's vertices back to them
     want = dict(O=(0, 0, 0), T1=(1, 0, 0), T2=(0, 1, 0), T3=(0, 0, 1),
                 T12=(1, 1, 0), T13=(1, 0, 1), T21=(1, 1, 1), T23=(0, 1, 1),
                 T213=(1, 1, 2))
-    unit = lattice_from_params(UNIT)
-    unit_dom = fundamental_domain(unit).as_dict()
-    assert unit_dom.keys() == want.keys()
-    for label, p in unit_dom.items():
-        assert lattice._lattice_coordinates(unit, *p) == want[label], label
+    assert lattice._CUBE_CORNERS == want
+    assert fundamental_domain(lattice_from_params(UNIT)).as_dict() == want
     for lat in seeded_lattices():
-        for label, p in fundamental_domain(lat).as_dict().items():
-            got = lattice._lattice_coordinates(lat, *p)
-            assert close(got, want[label], tol=1e-12), (lat.k, label)
-    for t, tet in enumerate(lattice.DOMAIN_TETRAHEDRA):
-        for j, label in enumerate(tet):
-            homog = np.array((1.0,) + want[label])
-            weights = (lattice._TILING_BARY @ homog).reshape(4, 6)[:, t]
-            assert np.allclose(weights, np.eye(4)[j], rtol=0.0,
-                               atol=1e-12), (t, label)
+        vertices = fundamental_domain(lat).as_dict()
+        got = np.array(list(vertices.values())) @ np.linalg.inv(
+            [lat.t1, lat.t2, lat.tau3])
+        assert np.allclose(got, list(want.values()), rtol=0.0,
+                           atol=1e-12), lat.k
 
 
 def test_domain_is_one_tau3_high_for_every_k():
     # T21 and T213 lie one and two steps of tau3 above T12 at every k, so
-    # the solid tiles: no spot check finds a gap or an overlap
+    # the solid tiles: the exact check passes, and the point loop finds no
+    # gap or overlap.  Its shell must reach the solid's height in steps of
+    # tau3, which is 16 on the sixth k = 3 lattice
     for i, lat in enumerate(seeded_lattices()):
         d = fundamental_domain(lat).as_dict()
         assert close(compose(d["T12"], lat.tau3), d["T21"]), lat.k
         assert close(compose(d["T21"], lat.tau3), d["T213"]), lat.k
         assert tiling_spot_check(lat, 200, i).ok, lat.k
+        assert tiling_by_point_loop(lat, 10, i, shell=24).ok, lat.k
 
 
 def test_tiling_needs_no_linear_algebra_per_call(monkeypatch):
-    # the barycentric maps are built once, at import: a call inverts no
-    # matrix
+    # the check maps the cube's corners forward, by the generators: a call
+    # inverts no matrix
     lat = lattice_from_params(normal_form(1.3, 0.2, 0.9, 3))
     warm = tiling_spot_check(lat, 50, 4)
 
@@ -507,28 +494,13 @@ def test_tiling_needs_no_linear_algebra_per_call(monkeypatch):
     assert tiling_spot_check(lat, 50, 4) == warm
 
 
-def test_translated_coordinates_follow_group_law():
-    # the tiling check moves lattice coordinates by a closed form; it must
-    # agree with translate(p, inverse(w)) for every (a, b), not only the
-    # b = 0 that generic samples of the domain's box reach
-    rng = np.random.default_rng(5)
-    for basis in (OPT, K2, normal_form(1.3, 0.2, 0.9, 3)):
-        lat = lattice_from_params(basis)
-        p = rng.uniform(-3.0, 3.0, (50, 3))
-        a, b = rng.integers(-4, 5, (2, 50)).astype(float)
-        word = compose(power(lat.t1, a), power(lat.t2, b))
-        want = lattice._lattice_coordinates(
-            lat, *translate(tuple(p.T), inverse(word)))
-        got = lattice._translated_coordinates(
-            lat, *lattice._lattice_coordinates(lat, *p.T), a, b)
-        assert np.allclose(got, want, rtol=0.0, atol=1e-9)
-
-
 def test_tiling_needs_shell_three():
-    # a box corner of this lattice lies in a translate by a shell-3 word,
-    # which the check finds from the corner's projected cell
+    # a corner of this lattice's bounding box lies in a translate by a
+    # shell-3 word only, so a point loop over shell 2 would report a false
+    # gap there; over shell 3 it finds none, as the exact check does
     basis = LatticeBasis(t1=(1.7809676559690528, 0.0, 1.4202298597173604),
                          t2=(0.8059798820541969, 1.5948968584099195,
                              2.0629572506322784), k=1)
-    assert tiling_spot_check(lattice_from_params(basis), samples=200,
-                             seed=168).ok
+    lat = lattice_from_params(basis)
+    assert tiling_spot_check(lat, samples=200, seed=168).ok
+    assert tiling_by_point_loop(lat, 200, 168).ok
